@@ -171,14 +171,14 @@
 // into place, so the final name only ever holds a complete file. The
 // format is versioned and integrity-checked (magic "FSMC", format
 // version, gob payload, CRC-64/ECMA trailer); corruption surfaces as a
-// typed error — ErrCheckpointTruncated, ErrCheckpointChecksum,
-// ErrCheckpointBadMagic, ErrCheckpointVersion — and an empty directory
-// as ErrNoCheckpoint. Restore validates every world against the
-// snapshot before mutating any of them, so a mismatched snapshot is
-// rejected without tearing the stack. Set StepConfig.Checkpoint (and
-// optionally CheckpointEvery) to snapshot the stack every n-th step
-// from inside the training loop; the written path returns on
-// StepResult.CheckpointPath.
+// typed error — ErrCheckpointTruncated, ErrCheckpointTrailing,
+// ErrCheckpointChecksum, ErrCheckpointBadMagic, ErrCheckpointVersion —
+// and an empty directory as ErrNoCheckpoint. Restore validates every
+// world against the snapshot before mutating any of them, so a
+// mismatched snapshot is rejected without tearing the stack. Set
+// StepConfig.Checkpoint (and optionally CheckpointEvery) to snapshot the
+// stack every n-th step from inside the training loop; the written path
+// returns on StepResult.CheckpointPath.
 //
 // After a permanent rank loss, Recover (or World.Recover per layer)
 // rebuilds instead of limping: under RecoveryPolicy{Mode:

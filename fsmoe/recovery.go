@@ -49,6 +49,7 @@ const (
 // foreign snapshot file fails loudly instead of restoring garbage.
 var (
 	ErrCheckpointTruncated = ckpt.ErrTruncated
+	ErrCheckpointTrailing  = ckpt.ErrTrailing
 	ErrCheckpointChecksum  = ckpt.ErrChecksum
 	ErrCheckpointBadMagic  = ckpt.ErrBadMagic
 	ErrCheckpointVersion   = ckpt.ErrVersion

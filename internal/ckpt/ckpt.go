@@ -23,9 +23,10 @@
 //     never a torn file under the final name.
 //
 //   - Loud corruption: Load verifies magic, version, length and checksum
-//     before decoding. A truncated, bit-flipped or foreign file fails
-//     with a typed sentinel error (ErrTruncated, ErrChecksum, ErrBadMagic,
-//     ErrVersion) matchable with errors.Is — never silent wrong state.
+//     before decoding. A truncated, overlong, bit-flipped or foreign file
+//     fails with a typed sentinel error (ErrTruncated, ErrTrailing,
+//     ErrChecksum, ErrBadMagic, ErrVersion) matchable with errors.Is —
+//     never silent wrong state.
 package ckpt
 
 import (
@@ -63,6 +64,9 @@ var (
 	// ErrTruncated reports a snapshot shorter than its own accounting —
 	// a torn write or a truncated copy.
 	ErrTruncated = errors.New("ckpt: truncated checkpoint")
+	// ErrTrailing reports a snapshot longer than its own accounting:
+	// bytes follow the CRC trailer, or the length field shrank.
+	ErrTrailing = errors.New("ckpt: trailing bytes after checkpoint")
 	// ErrChecksum reports payload corruption: the stored CRC-64 does not
 	// match the bytes on disk.
 	ErrChecksum = errors.New("ckpt: checksum mismatch (corrupted checkpoint)")
@@ -147,21 +151,30 @@ func Decode(raw []byte) (*Snapshot, error) {
 	n := binary.LittleEndian.Uint64(raw[8:16])
 	// Compare against what is actually present before allocating or
 	// slicing, so a corrupted length field reads as truncation, not a
-	// panic or an absurd allocation.
-	if uint64(len(raw)) < headerLen+n+trailerLen {
+	// panic or an absurd allocation. The comparison stays on the file's
+	// side: headerLen+n+trailerLen would wrap for n near 2⁶⁴.
+	if len(raw) < headerLen+trailerLen || n > uint64(len(raw)-headerLen-trailerLen) {
 		return nil, fmt.Errorf("%w: payload claims %d bytes, file holds %d past the header",
 			ErrTruncated, n, len(raw)-headerLen)
 	}
-	p := raw[headerLen : headerLen+n]
-	want := binary.LittleEndian.Uint64(raw[headerLen+n : headerLen+n+trailerLen])
+	end := headerLen + int(n)
+	if extra := len(raw) - end - trailerLen; extra > 0 {
+		return nil, fmt.Errorf("%w: %d bytes past the trailer", ErrTrailing, extra)
+	}
+	p := raw[headerLen:end]
+	want := binary.LittleEndian.Uint64(raw[end:])
 	if got := crc64.Checksum(p, crcTable); got != want {
 		return nil, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, got)
 	}
 	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&s); err != nil {
+	r := bytes.NewReader(p)
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		// The checksum passed, so the bytes are what was written — a gob
 		// failure here is an encoder/decoder skew, not disk corruption.
 		return nil, fmt.Errorf("ckpt: decode payload: %w", err)
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("ckpt: decode payload: %d bytes after the snapshot", r.Len())
 	}
 	return &s, nil
 }

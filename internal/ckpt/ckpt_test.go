@@ -1,7 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -185,4 +188,57 @@ func TestCkptManagerKeepAll(t *testing.T) {
 	if len(paths) != 4 {
 		t.Fatalf("Keep=0 must retain all, got %d", len(paths))
 	}
+}
+
+// overflowFile is a 40-byte file whose length field is 2⁶⁴−11, so
+// headerLen+n+trailerLen wraps around to 13.
+func overflowFile() []byte {
+	raw := make([]byte, 40)
+	copy(raw, magic[:])
+	binary.LittleEndian.PutUint32(raw[4:], Version)
+	binary.LittleEndian.PutUint64(raw[8:], math.MaxUint64-10)
+	return raw
+}
+
+// TestCkptLengthOverflow: a length field near 2⁶⁴ reads as truncation
+// instead of wrapping the bounds check and panicking on the slice.
+func TestCkptLengthOverflow(t *testing.T) {
+	if _, err := Decode(overflowFile()); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Decode of overflowing length = %v, want ErrTruncated", err)
+	}
+}
+
+// TestCkptTrailing: bytes past the CRC trailer, or a length field that
+// shrank, make the file longer than its accounting.
+func TestCkptTrailing(t *testing.T) {
+	raw, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(raw[:len(raw):len(raw)], 0)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("Decode with a trailing byte = %v, want ErrTrailing", err)
+	}
+	short := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(short[8:], binary.LittleEndian.Uint64(raw[8:])-1)
+	if _, err := Decode(short); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("Decode with a shrunk length field = %v, want ErrTrailing", err)
+	}
+}
+
+// FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
+// the identical bytes — a checkpoint file has exactly one valid form.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		again, err := Encode(s)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted snapshot: %v", err)
+		}
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(raw), len(again))
+		}
+	})
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// pits an FSMoE mechanism against its naive replacement on the same
-// workload, so `go test -bench=Ablation` quantifies what each piece buys.
+// Ablation benchmarks for FSMoE's design choices: each pits an FSMoE
+// mechanism against its naive replacement on the same workload, so
+// `go test -bench=Ablation` quantifies what each piece buys.
 
 // benchVols is a fixed, representative Table-4-like volume set.
 func benchVols(n int) []Volumes {

@@ -17,10 +17,17 @@
 // ring that is byte-identical under any slicing (comm.RingAllReduceChunk),
 // all strategies produce bit-identical synchronized gradients; only the
 // wall-clock placement differs.
+//
+// The byte plan depends only on the performance models, the strategy's
+// knobs and the layers' §5 volumes, so a Planner computes it once per
+// stack shape and reuses it for every later step until one of those
+// inputs changes (a new padded capacity, a rank shrink, new models). New
+// is a Planner with no memory: it plans from scratch on every call.
 package gradsync
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -134,8 +141,41 @@ type Syncer struct {
 	rep      Report
 }
 
-// New validates the layer specs and computes the strategy's byte plan.
+// New validates the layer specs and computes the strategy's byte plan
+// from scratch.
 func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
+	return (&Planner{}).New(cfg, specs)
+}
+
+// Planner memoizes the strategy's byte plan across syncers: the plan is a
+// pure function of the planKey and the layers' volumes, so a stack that
+// steps with unchanged shapes pays the §5 differential-evolution search
+// once. The zero value is ready to use. A Planner is not safe for
+// concurrent use; one stack steps at a time.
+type Planner struct {
+	key   planKey
+	cores []core.LayerSpec // the volumes plan was computed for
+	plan  *core.GarPlan    // memoized plan; nil before the first one
+	runs  int              // plan computations so far
+}
+
+// planKey holds every Config field the byte plan depends on.
+type planKey struct {
+	Models     core.Models
+	RMax       int
+	Strategy   Strategy
+	ChunkBytes float64
+}
+
+// Runs reports how many plans the planner has computed: its memo misses.
+func (p *Planner) Runs() int { return p.runs }
+
+// New validates the layer specs and returns a Syncer whose byte plan is
+// the memoized one when the key and every layer's volumes match the last
+// call, and a freshly computed one otherwise. Each Syncer gets its own
+// copy of the plan, so a caller mutating Report.Gar never reaches the
+// memo.
+func (p *Planner) New(cfg Config, specs []LayerSpec) (*Syncer, error) {
 	cfg = cfg.withDefaults()
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("gradsync: no layers")
@@ -158,20 +198,42 @@ func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
 		cores[i] = core.LayerSpec{V: sp.V}
 		total += float64(sp.Elems) * cfg.ElemBytes
 	}
-	s.rep = Report{Strategy: cfg.Strategy, TotalBytes: total}
+	plan, err := p.garPlan(cfg, cores)
+	if err != nil {
+		return nil, err
+	}
+	s.plan = plan
+	s.rep = Report{Strategy: cfg.Strategy, TotalBytes: total, Gar: plan}
+	return s, nil
+}
+
+// garPlan returns a private copy of the byte plan for cores, computing it
+// only when the key or the volumes differ from the memoized plan's. The
+// no-overlap strategy has no plan and leaves the memo untouched, so a
+// blocking SyncWorlds between steps does not evict the step's plan.
+func (p *Planner) garPlan(cfg Config, cores []core.LayerSpec) (*core.GarPlan, error) {
 	switch cfg.Strategy {
-	case StrategyFSMoE:
-		s.plan = cfg.Models.PartitionGradients(cores, cfg.RMax)
-	case StrategyFixedChunk:
-		s.plan = cfg.Models.FixedChunkGarPlan(cores, cfg.ChunkBytes)
+	case StrategyFSMoE, StrategyFixedChunk:
 	case StrategyNoOverlap:
-		s.plan = nil
+		return nil, nil
 	default:
 		return nil, fmt.Errorf("gradsync: unknown strategy %q (valid: %s, %s, %s)",
 			cfg.Strategy, StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap)
 	}
-	s.rep.Gar = s.plan
-	return s, nil
+	key := planKey{Models: cfg.Models, RMax: cfg.RMax, Strategy: cfg.Strategy, ChunkBytes: cfg.ChunkBytes}
+	if p.plan == nil || p.key != key || !slices.Equal(p.cores, cores) {
+		if cfg.Strategy == StrategyFSMoE {
+			p.plan = cfg.Models.PartitionGradients(cores, cfg.RMax)
+		} else {
+			p.plan = cfg.Models.FixedChunkGarPlan(cores, cfg.ChunkBytes)
+		}
+		p.key, p.cores = key, cores
+		p.runs++
+	}
+	plan := *p.plan
+	plan.MoEBytes = slices.Clone(p.plan.MoEBytes)
+	plan.DenseBytes = slices.Clone(p.plan.DenseBytes)
+	return &plan, nil
 }
 
 // Report returns the running synchronization summary (complete after

@@ -1,6 +1,7 @@
 package gradsync
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -265,5 +266,102 @@ func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// coreSpecs strips the gradsync specs to the volumes the partitioner sees.
+func coreSpecs(specs []LayerSpec) []core.LayerSpec {
+	out := make([]core.LayerSpec, len(specs))
+	for i, sp := range specs {
+		out[i] = core.LayerSpec{V: sp.V}
+	}
+	return out
+}
+
+// TestPlannerPlansOnce: syncers built from identical specs share one plan
+// computation, and each gets the plan a fresh partition would produce.
+func TestPlannerPlansOnce(t *testing.T) {
+	cfg, specs := testSpecs(4, 2048, 100)
+	want := cfg.Models.PartitionGradients(coreSpecs(specs), 16)
+	var p Planner
+	for k := 0; k < 3; k++ {
+		s, err := p.New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Report().Gar, want) {
+			t.Fatalf("syncer %d plan %+v, fresh partition %+v", k, s.Report().Gar, want)
+		}
+	}
+	if p.runs != 1 {
+		t.Fatalf("identical specs planned %d times, want 1", p.runs)
+	}
+}
+
+// TestPlannerReplansOnChange: changing any input the plan depends on —
+// one key field or one layer's volumes — recomputes it, and the result is
+// what a fresh computation gives.
+func TestPlannerReplansOnChange(t *testing.T) {
+	base, baseSpecs := testSpecs(4, 2048, 100)
+	cases := []struct {
+		name   string
+		change func(*Config, []LayerSpec)
+	}{
+		{"models", func(c *Config, _ []LayerSpec) { c.Models.AR.Beta *= 2 }},
+		{"rmax", func(c *Config, _ []LayerSpec) { c.RMax = 2 }},
+		{"strategy", func(c *Config, _ []LayerSpec) { c.Strategy = StrategyFixedChunk }},
+		{"chunk-bytes", func(c *Config, _ []LayerSpec) { c.ChunkBytes = 1 << 20 }},
+		{"volumes", func(_ *Config, s []LayerSpec) { s[2].V.NA2A *= 3 }},
+	}
+	for _, tc := range cases {
+		var p Planner
+		if _, err := p.New(base, baseSpecs); err != nil {
+			t.Fatal(err)
+		}
+		cfg, specs := base, append([]LayerSpec(nil), baseSpecs...)
+		tc.change(&cfg, specs)
+		s, err := p.New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.runs != 2 {
+			t.Fatalf("%s: changed input planned %d times in total, want 2", tc.name, p.runs)
+		}
+		d := cfg.withDefaults()
+		want := d.Models.PartitionGradients(coreSpecs(specs), d.RMax)
+		if d.Strategy == StrategyFixedChunk {
+			want = d.Models.FixedChunkGarPlan(coreSpecs(specs), d.ChunkBytes)
+		}
+		if !reflect.DeepEqual(s.Report().Gar, want) {
+			t.Fatalf("%s: replanned %+v, fresh computation %+v", tc.name, s.Report().Gar, want)
+		}
+	}
+}
+
+// TestPlannerNoAliasing: a caller mutating one syncer's reported plan
+// does not reach the memo the next syncer is built from.
+func TestPlannerNoAliasing(t *testing.T) {
+	cfg, specs := testSpecs(4, 2048, 100)
+	var p Planner
+	s, err := p.New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gar := s.Report().Gar
+	want := *gar
+	want.MoEBytes = append([]float64(nil), gar.MoEBytes...)
+	want.DenseBytes = append([]float64(nil), gar.DenseBytes...)
+	gar.MoEBytes[1] = -1
+	gar.DenseBytes[0] = -1
+	gar.TailBytes = -1
+	next, err := p.New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(next.Report().Gar, &want) {
+		t.Fatalf("next plan %+v, want the unmutated %+v", next.Report().Gar, &want)
+	}
+	if p.runs != 1 {
+		t.Fatalf("planned %d times, want 1", p.runs)
 	}
 }

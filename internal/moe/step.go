@@ -189,13 +189,15 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	res.Y = cur
 
 	// Register every layer with the syncer using live volumes (the padded
-	// capacity each forward actually dispatched).
+	// capacity each forward actually dispatched). The stack's anchor world
+	// plans through its memo, so steps with unchanged volumes skip the §5
+	// partition search.
 	specs := make([]gradsync.LayerSpec, len(worlds))
 	for i, w := range worlds {
 		total, dense := w.GradElems()
 		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
 	}
-	syncer, err := gradsync.New(gradsync.Config{
+	syncer, err := worlds[0].planner.New(gradsync.Config{
 		Strategy:    cfg.Strategy,
 		Models:      cfg.Models,
 		RMax:        cfg.RMax,
@@ -463,7 +465,7 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 		v := stepVolumes(w, 0)
 		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: v}
 	}
-	syncer, err := gradsync.New(gradsync.Config{
+	syncer, err := worlds[0].planner.New(gradsync.Config{
 		Strategy:    gradsync.StrategyNoOverlap,
 		Models:      cfg.Models,
 		ElemBytes:   gradElemBytes,

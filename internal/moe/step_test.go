@@ -2,8 +2,10 @@ package moe
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gradsync"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -260,5 +262,41 @@ func TestStepWorldsRejects(t *testing.T) {
 	ws := stepStack(t, 1, 4, 1, false)
 	if _, err := StepWorlds(ws, x, dy, StepConfig{Strategy: "warp-drive"}); err == nil {
 		t.Fatal("unknown strategy must fail")
+	}
+}
+
+// TestWorldStepPlanOnce: stepping a deep stack whose shapes never change
+// runs the §5 partition search once, and every step still reports the
+// plan a fresh PartitionGradients over the stack's live volumes gives.
+func TestWorldStepPlanOnce(t *testing.T) {
+	const layers, ranks, steps = 8, 2, 3
+	x := tensor.RandN(xrand.New(71), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(72), 1, 96, 32)
+	ws := stepStack(t, layers, ranks, 2, false)
+
+	specs := make([]core.LayerSpec, layers)
+	cur := x
+	for i, w := range ws {
+		y, c, err := w.Forward(cur, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = core.LayerSpec{V: stepVolumes(w, c.tpad)}
+		cur = y
+	}
+	cfg := StepConfig{LR: 0.01, RMax: 16}.withDefaults()
+	want := cfg.Models.PartitionGradients(specs, cfg.RMax)
+
+	for k := 0; k < steps; k++ {
+		res, err := StepWorlds(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Report.Gar, want) {
+			t.Fatalf("step %d plan %+v, fresh partition %+v", k, res.Report.Gar, want)
+		}
+	}
+	if n := ws[0].planner.Runs(); n != 1 {
+		t.Fatalf("%d steps planned %d times, want 1", steps, n)
 	}
 }

@@ -77,6 +77,11 @@ type World struct {
 
 	steps int // completed training steps on this world (telemetry ordinal)
 
+	// planner memoizes the §5 byte plan of the stacks this world anchors
+	// (StepWorlds and SyncWorlds plan through worlds[0]); it replans by
+	// itself whenever the stack's volumes or the step's models change.
+	planner gradsync.Planner
+
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
 	recov []*RecoveryReport

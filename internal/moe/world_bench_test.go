@@ -120,3 +120,33 @@ func BenchmarkStepTelemetryGuard(b *testing.B) {
 		w.steps++
 	}
 }
+
+// BenchmarkStepWorldsDeep measures the steady-state training step of an
+// 8-layer EP stack at R=2 ranks: forward, backward with the §5 slices
+// overlapped, the exposed tail and the SGD update. The untimed first step
+// pays the stack's one partition search; the timed steps reuse its plan.
+func BenchmarkStepWorldsDeep(b *testing.B) {
+	const layers, m, h, e, n = 8, 64, 32, 8, 256
+	x := tensor.RandN(xrand.New(65), 1, n, m)
+	dy := tensor.RandN(xrand.New(66), 1, n, m)
+	ws := make([]*World, layers)
+	for i := range ws {
+		w, err := NewWorld(benchWorldLayer(b, m, h, e), WorldConfig{Ranks: 2, ChunksFwd: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		ws[i] = w
+	}
+	cfg := StepConfig{LR: 1e-5}
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -79,7 +79,7 @@ func (c *Cluster) Validate() error {
 // (~50 GB/s effective per GPU) so that a GPT2-XL layer reproduces the
 // Table 2 breakdown — the Fig. 5 caption's cluster-wide AG/RS fits are
 // mutually inconsistent with Table 2 and with §4.2's t_ag ≈ t_rs
-// assumption (see DESIGN.md).
+// assumption.
 func TestbedA() *Cluster {
 	return &Cluster{
 		Name:        "A",
@@ -123,8 +123,7 @@ func TestbedB() *Cluster {
 // β_ar=4.95e-6 for Testbed A. A β_ar ten times β_a2a is inconsistent with
 // both the Fig. 5(a) plot (AllReduce stays inside a 25 ms axis at 1.5e7
 // bytes) and with Testbed B, where β_ar/β_a2a ≈ 2. We keep the ratio
-// observed on Testbed B (≈2.2×) and use 4.95e-7; DESIGN.md records the
-// substitution.
+// observed on Testbed B (≈2.2×) and use 4.95e-7 instead.
 
 // WithGPUs returns a copy of c resized to total GPUs, keeping GPUsPerNode.
 // It is used by the Fig. 7 sweep (P ∈ {16, 32, 48} on Testbed A).
