@@ -16,7 +16,6 @@
 //	             Put of a View/Slice/Reshape result is an error
 //	kindcheck  — raw task-kind/event vocabulary strings are forbidden
 //	             outside internal/sim/vocab.go
-//	guardcheck — plan-builders must call comm.*Guarded collectives
 //
 // Findings are suppressed by an explicit
 //

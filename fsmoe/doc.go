@@ -239,11 +239,13 @@
 // pooled-tensor ownership (every GetTensor/tensor.Get result must be Put
 // or handed to a new owner on every path, and Put of a View/Slice/Reshape
 // result is a static error — the compile-time twin of SetPoolDebug),
-// kindcheck forbids re-typing the canonical task-kind/event vocabulary as
-// raw string literals outside its declaration file, and guardcheck keeps
-// strategy plan-builders on the comm.*Guarded collective entry points so
-// in-collective fault injection reaches every transfer. Deliberate
-// exceptions carry a visible "//fsmoe:allow <analyzer> <reason>" comment.
+// and kindcheck forbids re-typing the canonical task-kind/event
+// vocabulary as raw string literals outside its declaration file.
+// Deliberate exceptions carry a visible "//fsmoe:allow <analyzer>
+// <reason>" comment. In-collective fault injection needs no lint rule:
+// strategy plan-builders reach collectives only through the comm.Comm
+// handle a World mints per planned collective, whose methods always run
+// the guard first.
 //
 // SetVerifyPlans(true) additionally runs runtime.Plan.Verify on every
 // stream plan a World builds before it executes: dependency indices in

@@ -26,12 +26,6 @@ import (
 // allocation churn out of measured AllReduce intervals (the same
 // measurement-fidelity treatment as the chunked AlltoAll staging).
 
-// SplitFlat partitions a flat buffer of n elements into at most chunks
-// contiguous, near-equal, non-empty ranges — SplitRows over elements
-// instead of token rows. It is the slicing used to cut a gradient buffer
-// into §5 AllReduce slices.
-func SplitFlat(n, chunks int) []RowRange { return SplitRows(n, chunks) }
-
 // RingAllReduceChunk sums elements [rr.Lo, rr.Hi) of the rank buffers
 // elementwise into every rank, in place, using the monolithic ring
 // schedule restricted to that range. Buffers must be full-length (every
@@ -142,7 +136,7 @@ func ChunkedRingAllReduce(data [][]float64, gpusPerNode, chunks int, onChunk fun
 	if err != nil {
 		return st, err
 	}
-	for c, rr := range SplitFlat(n, chunks) {
+	for c, rr := range SplitRows(n, chunks) {
 		cst, err := RingAllReduceChunk(data, gpusPerNode, rr)
 		if err != nil {
 			return st, err
@@ -197,7 +191,7 @@ func AllReduceAsync(data [][]float64, gpusPerNode, chunks int) (*AsyncAR, error)
 	if err != nil {
 		return nil, err
 	}
-	ranges := SplitFlat(n, chunks)
+	ranges := SplitRows(n, chunks)
 	a := &AsyncAR{ranges: ranges, fin: make(chan struct{})}
 	a.done = make([]chan struct{}, len(ranges))
 	for c := range a.done {

@@ -73,7 +73,7 @@ func TestRingAllReduceChunkTilingOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := cloneRanks(ref)
-	ranges := SplitFlat(n, 5)
+	ranges := SplitRows(n, 5)
 	// Reverse order, then a middle-out shuffle.
 	order := []int{4, 2, 0, 3, 1}
 	for _, c := range order {
@@ -188,25 +188,26 @@ func TestRingAllReduceChunkErrors(t *testing.T) {
 	}
 }
 
-// TestSplitFlat pins the flat-slicing contract gradsync relies on: ranges
-// tile [0, n), are non-empty, and cap at n.
+// TestSplitFlat pins the flat-slicing contract gradsync relies on when it
+// cuts a gradient buffer with SplitRows: ranges tile [0, n), are non-empty,
+// and cap at n.
 func TestSplitFlat(t *testing.T) {
 	for _, tc := range []struct{ n, chunks, want int }{
 		{10, 3, 3}, {10, 1, 1}, {3, 8, 3}, {1, 1, 1},
 	} {
-		got := SplitFlat(tc.n, tc.chunks)
+		got := SplitRows(tc.n, tc.chunks)
 		if len(got) != tc.want {
-			t.Fatalf("SplitFlat(%d,%d) = %d ranges, want %d", tc.n, tc.chunks, len(got), tc.want)
+			t.Fatalf("SplitRows(%d,%d) = %d ranges, want %d", tc.n, tc.chunks, len(got), tc.want)
 		}
 		next := 0
 		for _, rr := range got {
 			if rr.Lo != next || rr.Len() <= 0 {
-				t.Fatalf("SplitFlat(%d,%d) = %v does not tile", tc.n, tc.chunks, got)
+				t.Fatalf("SplitRows(%d,%d) = %v does not tile", tc.n, tc.chunks, got)
 			}
 			next = rr.Hi
 		}
 		if next != tc.n {
-			t.Fatalf("SplitFlat(%d,%d) ends at %d", tc.n, tc.chunks, next)
+			t.Fatalf("SplitRows(%d,%d) ends at %d", tc.n, tc.chunks, next)
 		}
 	}
 }

@@ -68,12 +68,13 @@ func TestBroadcastErrors(t *testing.T) {
 	}
 }
 
-// TestBroadcastGuarded: a failing guard aborts before any byte moves, so
-// a retry starts from pristine buffers; a nil guard checks nothing.
+// TestBroadcastGuarded: a guarded Comm.Broadcast that fails aborts
+// before any byte moves, so the recovery path's retry starts from
+// pristine buffers; the retry with a nil guard completes.
 func TestBroadcastGuarded(t *testing.T) {
 	boom := errors.New("injected")
 	data := bcastBuffers(3, 2, 0)
-	if _, err := BroadcastGuarded(func() error { return boom }, data, 0, 1); !errors.Is(err, boom) {
+	if _, err := (Comm{GPN: 1, Guard: func() error { return boom }}).Broadcast(data, 0); !errors.Is(err, boom) {
 		t.Fatalf("guard error not propagated: %v", err)
 	}
 	for r := 1; r < 3; r++ {
@@ -83,7 +84,7 @@ func TestBroadcastGuarded(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BroadcastGuarded(nil, data, 0, 1); err != nil {
+	if _, err := (Comm{GPN: 1}).Broadcast(data, 0); err != nil {
 		t.Fatal(err)
 	}
 	if data[2][1] != float64(1) {

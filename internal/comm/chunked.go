@@ -51,10 +51,11 @@ type RowRange struct{ Lo, Hi int }
 func (r RowRange) Len() int { return r.Hi - r.Lo }
 
 // SplitRows partitions rows into at most chunks contiguous, near-equal,
-// non-empty ranges — the r-way token split of §4.1. Fewer ranges come back
-// when rows < chunks; rows <= 0 yields a single empty range (note the
-// AlltoAll entry points require BlockDims.Rows >= 1, so an empty range is
-// only useful to callers managing their own buffers).
+// non-empty ranges — the r-way token split of §4.1, and over elements the
+// cut of a flat gradient buffer into §5 AllReduce slices. Fewer ranges
+// come back when rows < chunks; rows <= 0 yields a single empty range
+// (note the AlltoAll entry points require BlockDims.Rows >= 1, so an
+// empty range is only useful to callers managing their own buffers).
 func SplitRows(rows, chunks int) []RowRange {
 	if chunks < 1 {
 		chunks = 1

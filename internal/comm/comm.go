@@ -15,6 +15,10 @@
 // only in *how* data moves, which the Stats accounting captures (message
 // counts and inter- vs intra-node volume). The scheduler's cost models in
 // internal/topology are calibrated against exactly these step structures.
+//
+// The algorithms are free functions over every rank's buffer. Plan
+// builders call them through a Comm (handle.go), which scopes a
+// collective to a rank subset and runs a fault-injection Guard first.
 package comm
 
 import (

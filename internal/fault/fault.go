@@ -160,7 +160,7 @@ type Spec struct {
 	StragglerDelay time.Duration
 
 	// CollectiveProb is the transient-failure rate of the in-collective
-	// Guard hook (comm.*Guarded): the failure fires inside the collective
+	// Guard hook (comm.Comm.Guard): the failure fires inside the collective
 	// call, immediately before its first byte moves. It is independent of
 	// TransientProb so task-level and comm-level injection compose.
 	CollectiveProb float64
@@ -265,14 +265,14 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 }
 
 // Guard returns a comm-level guard for one collective operation, or nil
-// when in-collective injection is off. The guard is invoked by the
-// comm.*Guarded entry points immediately before the collective moves its
-// first byte; a returned transient error therefore aborts the collective
-// with every buffer untouched, and a retry replays it bit-safely. Each
-// invocation counts as one attempt of operation opID (callers must create
-// one guard per planned collective — the closure carries the attempt
-// counter and is driven from that collective's single stream goroutine,
-// so it needs no locking).
+// when in-collective injection is off. A comm.Comm carrying it invokes
+// it at the start of every method, immediately before the collective
+// moves its first byte; a returned transient error therefore aborts the
+// collective with every buffer untouched, and a retry replays it
+// bit-safely. Each invocation counts as one attempt of operation opID
+// (callers must create one guard per planned collective — the closure
+// carries the attempt counter and is driven from that collective's
+// single stream goroutine, so it needs no locking).
 func (p *Plan) Guard(stream, kind string, opID int) func() error {
 	if p == nil || p.spec.CollectiveProb <= 0 {
 		return nil

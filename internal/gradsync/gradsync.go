@@ -399,8 +399,7 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	// reduce serves both in-plan AR tasks (whose fault injection is
 	// task-level: RetryPolicy.Kinds covers KindAllReduce) and the
 	// sequential Finish tail, which runs outside any plan and has no guard
-	// to carry — so the unguarded entry point is deliberate here.
-	//fsmoe:allow guardcheck task-level injection covers in-plan slices; Finish tail runs outside any plan
+	// to carry — so the unguarded free function is deliberate here.
 	st, err := comm.RingAllReduceChunk(bufs, s.cfg.GPUsPerNode, sl.rr)
 	if err != nil {
 		return err

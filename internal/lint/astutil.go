@@ -56,24 +56,6 @@ func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...
 	return "", false
 }
 
-// pkgSelector resolves a call of the form pkg.Name where pkg is an import
-// of pkgPath, returning the selected name.
-func pkgSelector(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != pkgPath {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
 // methodCallOn reports whether call is a method invocation named one of
 // names on a receiver whose (possibly pointered) named type lives in
 // pkgPath with type name typeName.

@@ -102,16 +102,6 @@ func checkFixture(t *testing.T, name string, a *Analyzer) {
 func TestPoolCheckFixture(t *testing.T) { checkFixture(t, "poolbad", PoolCheck) }
 func TestKindCheckFixture(t *testing.T) { checkFixture(t, "kindbad", KindCheck) }
 
-func TestGuardCheckFixture(t *testing.T) {
-	// The fixture stands in for a plan-builder package: widen the
-	// analyzer's scope to include it for the duration of the test.
-	old := guardScopes
-	guardScopes = append(append([]string(nil), old...),
-		"repro/internal/lint/testdata/src/guardbad")
-	defer func() { guardScopes = old }()
-	checkFixture(t, "guardbad", GuardCheck)
-}
-
 // TestRepoIsLintClean is the self-test the CI gate mirrors: the whole
 // module must load, type-check and produce zero findings under the full
 // analyzer suite.

@@ -4,7 +4,7 @@
 // go/parser and go/types only, no golang.org/x/tools — so it builds and
 // runs offline, and cmd/fsmoe-lint can gate CI without network access.
 //
-// Three analyzers ship today:
+// Two analyzers ship today:
 //
 //   - poolcheck: pooled-tensor ownership. Every tensor.Get/GetUninit
 //     result must reach a tensor.Put or escape (return, field/element
@@ -20,15 +20,10 @@
 //     breakdown keyed on the canonical constants; the analyzer turns it
 //     into a build-time diagnostic.
 //
-//   - guardcheck: guarded-comm discipline. Inside the strategy
-//     plan-builder packages, a direct call to an unguarded collective
-//     (comm.F) for which a comm.FGuarded variant exists bypasses
-//     in-collective fault injection; the analyzer flags it.
-//
 // Findings can be suppressed with an explicit allowlist comment on the
 // offending line or the line directly above it:
 //
-//	//fsmoe:allow guardcheck sequential tail; injection arrives at task level
+//	//fsmoe:allow kindcheck documenting the wire value itself
 //
 // The comment names one or more analyzers (comma-separated) and should
 // state a reason. Allowlisting is deliberate and visible in review — the
@@ -63,7 +58,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in presentation order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{PoolCheck, KindCheck, GuardCheck}
+	return []*Analyzer{PoolCheck, KindCheck}
 }
 
 // allowPrefix introduces an allowlist comment.

@@ -59,7 +59,7 @@ type RecoveryPolicy struct {
 const recoverStream = "recover"
 
 // KindBcast is the task kind of the recovery weight re-placement
-// broadcasts (comm.BroadcastGuarded).
+// broadcasts (comm.Comm.Broadcast).
 const KindBcast = "Broadcast"
 
 // RecoveryReport describes one world's completed recovery.
@@ -229,10 +229,10 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 			copy(bufs[0][off:], p.W.Data())
 			off += len(p.W.Data())
 		}
-		guard := w.collGuard(recoverStream, KindBcast)
+		bcast := w.collComm(recoverStream, KindBcast, nil, gpn)
 		var st comm.Stats
 		for a := 0; ; a++ {
-			s, err := comm.BroadcastGuarded(guard, bufs, 0, gpn)
+			s, err := bcast.Broadcast(bufs, 0)
 			if err == nil {
 				st = s
 				break

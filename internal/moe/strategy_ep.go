@@ -119,9 +119,9 @@ func xferLocal(pool *tensor.Pool, wire, block []float64, ranks, eg, mdim, spad, 
 // all A2A tasks share the serialized "inter" stream). The fault guard is
 // minted at plan-build time so in-collective injection is deterministic.
 func (s *epStrategy) a2aTask(w *World, send, recv [][]float64, dims comm.BlockDims, rr comm.RowRange) func() error {
-	g := w.collGuard("inter", KindA2A)
+	c := w.collComm("inter", KindA2A, nil, w.cfg.GPUsPerNode)
 	return func() error {
-		st, err := comm.AlltoAllRowsGuarded(g, w.cfg.Algo, send, recv, w.cfg.GPUsPerNode, dims, rr)
+		st, err := c.AlltoAllRows(w.cfg.Algo, send, recv, dims, rr)
 		if err != nil {
 			return err
 		}

@@ -190,7 +190,7 @@ func (s *espStrategy) hiddenExchange(w *World, p *runtime.Plan, label string, bu
 	}
 	// (R-1)·R messages of one per-rank block — the same total-bytes-moved
 	// convention as the other collective estimates.
-	agGuard := w.collGuard(collStream, KindAG)
+	agComm := w.collComm(collStream, KindAG, nil, w.cfg.GPUsPerNode)
 	ag := p.Add(fmt.Sprintf("AG%s", label), KindAG, collStream,
 		estElems((R-1)*R*blk), func() error {
 			for r := 0; r < R; r++ {
@@ -200,7 +200,7 @@ func (s *espStrategy) hiddenExchange(w *World, p *runtime.Plan, label string, bu
 				t := tensor.GetUninit(R * blk)
 				outT[r], outB[r] = t, t.Data()
 			}
-			st, err := comm.RingAllGatherIntoGuarded(agGuard, outB, send, w.cfg.GPUsPerNode)
+			st, err := agComm.AllGatherInto(outB, send)
 			if err != nil {
 				return err
 			}
@@ -274,10 +274,10 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 					return nil
 				})
 		}
-		agGuard := w.collGuard(collStream, KindAG)
+		agComm := w.collComm(collStream, KindAG, nil, w.cfg.GPUsPerNode)
 		agIDs[c] = p.Add(fmt.Sprintf("AG[%d]", c), KindAG, collStream,
 			estElems((R-1)*R*E*rr.Len()*mdim), func() error {
-				st, err := comm.AllGatherRowsGuarded(agGuard, agxData, agxOut, w.cfg.GPUsPerNode, dims, rr)
+				st, err := agComm.AllGatherRows(agxData, agxOut, dims, rr)
 				if err != nil {
 					return err
 				}
@@ -329,10 +329,10 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 					return nil
 				}, o)
 		}
-		rsGuard := w.collGuard(collStream, KindRS)
+		rsComm := w.collComm(collStream, KindRS, nil, w.cfg.GPUsPerNode)
 		rs := p.Add(fmt.Sprintf("RS[%d]", c), KindRS, collStream,
 			estElems((R-1)*R*E*rr.Len()*mdim), func() error {
-				st, err := comm.ReduceScatterRowsGuarded(rsGuard, rsData, rsOut, w.cfg.GPUsPerNode, dims, rr)
+				st, err := rsComm.ReduceScatterRows(rsData, rsOut, dims, rr)
 				if err != nil {
 					return err
 				}
@@ -391,10 +391,10 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 					return nil
 				})
 		}
-		agGuard := w.collGuard(collStream, KindAG)
+		agComm := w.collComm(collStream, KindAG, nil, w.cfg.GPUsPerNode)
 		agIDs[c] = p.Add(fmt.Sprintf("AG[%d]", c), KindAG, collStream,
 			estElems((R-1)*R*E*rr.Len()*mdim), func() error {
-				st, err := comm.AllGatherRowsGuarded(agGuard, agdData, agdOut, w.cfg.GPUsPerNode, dims, rr)
+				st, err := agComm.AllGatherRows(agdData, agdOut, dims, rr)
 				if err != nil {
 					return err
 				}
@@ -458,10 +458,10 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 					return nil
 				}, b2Last[g])
 		}
-		rsGuard := w.collGuard(collStream, KindRS)
+		rsComm := w.collComm(collStream, KindRS, nil, w.cfg.GPUsPerNode)
 		rs := p.Add(fmt.Sprintf("RS[%d]", c), KindRS, collStream,
 			estElems((R-1)*R*E*rr.Len()*mdim), func() error {
-				st, err := comm.ReduceScatterRowsGuarded(rsGuard, rsData, rsOut, w.cfg.GPUsPerNode, dims, rr)
+				st, err := rsComm.ReduceScatterRows(rsData, rsOut, dims, rr)
 				if err != nil {
 					return err
 				}

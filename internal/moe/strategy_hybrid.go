@@ -181,18 +181,18 @@ func (s *hybridStrategy) groupEst(gi, rows int) float64 {
 // guard covers the whole step and runs before any lane moves a byte, so a
 // transient guard failure retries bit-safely.
 func (s *hybridStrategy) laneA2A(w *World, send, recv [][]float64, dims comm.BlockDims, rr comm.RowRange) func() error {
-	guard := w.collGuard("inter", KindA2A)
-	gpn := s.laneGpn(w)
+	guarded := w.collComm("inter", KindA2A, nil, s.laneGpn(w))
 	return func() error {
 		// One guard invocation per attempt: lane 0 carries it, the
 		// remaining lanes of the same step run unguarded behind it.
-		lg := guard
+		c := guarded
 		for _, lane := range s.lanes {
-			st, err := comm.GroupAlltoAllRowsGuarded(lg, w.cfg.Algo, lane, send, recv, gpn, dims, rr)
+			c.Members = lane
+			st, err := c.AlltoAllRows(w.cfg.Algo, send, recv, dims, rr)
 			if err != nil {
 				return err
 			}
-			lg = nil
+			c.Guard = nil
 			w.addStats(st)
 		}
 		return nil
@@ -275,15 +275,14 @@ func (s *hybridStrategy) rowsExchange(w *World, p *runtime.Plan, label string, b
 	for gi := 0; gi < s.nG; gi++ {
 		gi := gi
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindAG)
-		gpn := s.groupGpn(w)
+		gc := w.collComm(groupCollStream(gi), KindAG, members, s.groupGpn(w))
 		agDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			agDeps[m] = packIDs[members[m]]
 		}
 		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
 			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
-				st, err := comm.GroupAllGatherRowsGuarded(guard, members, data, out, gpn, gdims, rr)
+				st, err := gc.AllGatherRows(data, out, gdims, rr)
 				if err != nil {
 					return err
 				}
@@ -395,8 +394,7 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 		gi := gi
 		blk := s.hiddenBlock(gi, rr.Len(), fwd)
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindAG)
-		gpn := s.groupGpn(w)
+		gc := w.collComm(groupCollStream(gi), KindAG, members, s.groupGpn(w))
 		agDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			agDeps[m] = packIDs[members[m]]
@@ -404,10 +402,13 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
 			estElems((g-1)*g*blk), func() error {
 				for _, mr := range members {
+					if outT[mr] != nil {
+						tensor.Put(outT[mr]) // a prior attempt's staging, reclaimed before re-Get
+					}
 					t := tensor.GetUninit(g * blk)
 					outT[mr], outB[mr] = t, t.Data()
 				}
-				st, err := comm.GroupRingAllGatherIntoGuarded(guard, members, outB, send, gpn)
+				st, err := gc.AllGatherInto(outB, send)
 				if err != nil {
 					return err
 				}
@@ -457,15 +458,14 @@ func (s *hybridStrategy) reduceScatter(w *World, p *runtime.Plan, label string, 
 	for gi := 0; gi < s.nG; gi++ {
 		gi := gi
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindRS)
-		gpn := s.groupGpn(w)
+		gc := w.collComm(groupCollStream(gi), KindRS, members, s.groupGpn(w))
 		rsDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			rsDeps[m] = packIDs[members[m]]
 		}
 		rs := p.Add(fmt.Sprintf("RS%s[g%d]", label, gi), KindRS, groupCollStream(gi),
 			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
-				st, err := comm.GroupReduceScatterRowsGuarded(guard, members, data, out, gpn, gdims, rr)
+				st, err := gc.ReduceScatterRows(data, out, gdims, rr)
 				if err != nil {
 					return err
 				}

@@ -62,7 +62,7 @@ type World struct {
 	lastTr   *sim.Trace
 
 	// Fault tolerance: an optional seeded injector threaded into every
-	// executed plan (and, via collGuard, into the collectives themselves),
+	// executed plan (and, via collComm, into the collectives themselves),
 	// the retry policy for transient collective failures, an optional
 	// per-plan deadline, and the world's rank-health state. down is the
 	// permanently failed rank (-1 while all ranks are healthy); once a rank
@@ -392,18 +392,20 @@ func (w *World) ResetHealth() {
 // or nil if the pass ran at full strength.
 func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 
-// collGuard mints the fault-injection guard for the next planned
-// collective on stream. Guards are created at plan-build time with a
+// collComm returns the communicator for the next planned collective on
+// stream, spanning members (nil: every rank) with gpn GPUs per node. Its
+// fault-injection guard is minted here, at plan-build time, with a
 // monotone operation id, so which collectives fail is a deterministic
 // function of the fault seed and the sequence of passes, independent of
-// stream interleaving. Returns nil (check nothing) when injection is off.
-func (w *World) collGuard(stream, kind string) comm.Guard {
-	if w.faults == nil {
-		return nil
+// stream interleaving. The guard is nil (checks nothing) when injection
+// is off.
+func (w *World) collComm(stream, kind string, members []int, gpn int) comm.Comm {
+	c := comm.Comm{Members: members, GPN: gpn}
+	if w.faults != nil {
+		c.Guard = w.faults.Guard(stream, kind, w.collOps)
+		w.collOps++
 	}
-	id := w.collOps
-	w.collOps++
-	return comm.Guard(w.faults.Guard(stream, kind, id))
+	return c
 }
 
 // WorldCache carries a forward pass's state to Backward. The strategy
@@ -707,7 +709,7 @@ func (w *World) RankGrads() [][]float64 {
 	off := 0
 	for _, p := range w.layer.cfg.Gate.Params() {
 		g := p.G.Data()
-		for r, rr := range comm.SplitFlat(len(g), R) {
+		for r, rr := range comm.SplitRows(len(g), R) {
 			copy(out[r][off+rr.Lo:off+rr.Hi], g[rr.Lo:rr.Hi])
 		}
 		off += len(g)

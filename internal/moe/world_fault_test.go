@@ -534,3 +534,106 @@ func TestWorldStepDegraded(t *testing.T) {
 		t.Fatal("rank 1 still reported healthy after the degraded step")
 	}
 }
+
+// TestWorldEveryCollectiveGuarded is the behavioural form of the
+// guarded-collective rule. With every in-collective guard failing its
+// first attempt and no task-level injection, each A2A/AG/RS task of a
+// forward/backward pass must record exactly one fault: a collective that
+// reaches comm without its guard records none. The faulted pass must
+// also leave the tensor free-list balance where a fault-free pass leaves
+// it, so no retried collective strands its staging. Elastic recovery's
+// weight broadcasts are covered the same way: one retry per moved expert.
+func TestWorldEveryCollectiveGuarded(t *testing.T) {
+	x := tensor.RandN(xrand.New(131), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(132), 1, 96, 32)
+	spec := fault.Spec{Seed: 1, CollectiveProb: 1, MaxTransientsPerTask: 1}
+	for _, cfg := range []WorldConfig{
+		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyEP},
+		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP},
+		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyDenseSlots},
+	} {
+		layer := strategyLayer(t, cfg.Strategy, false)
+		_, cleanLeft := collectivePass(t, layer, cfg, nil, x, dy)
+		traces, faultedLeft := collectivePass(t, layer, cfg, fault.New(spec), x, dy)
+		if faultedLeft != cleanLeft {
+			t.Errorf("%s: faulted pass left %d free-list buffers outstanding, fault-free pass %d",
+				cfg.Strategy, faultedLeft, cleanLeft)
+		}
+		for phase, tr := range traces {
+			faults := map[int]int{}
+			for _, ev := range tr.Events {
+				if ev.Type == sim.EventFault {
+					faults[ev.TaskID]++
+				}
+			}
+			colls := 0
+			for _, iv := range tr.Intervals {
+				switch iv.Task.Kind {
+				case KindA2A, KindAG, KindRS:
+				default:
+					continue
+				}
+				colls++
+				if n := faults[iv.Task.ID]; n != 1 {
+					t.Errorf("%s %s: collective task %s (%s) recorded %d guard faults, want 1",
+						cfg.Strategy, []string{"forward", "backward"}[phase], iv.Task.Label, iv.Task.Kind, n)
+				}
+			}
+			if colls == 0 {
+				t.Fatalf("%s: pass %d traced no collective tasks", cfg.Strategy, phase)
+			}
+		}
+	}
+
+	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := w.Snapshot()
+	down := spec
+	down.Down = &fault.Down{Rank: 1, Kind: KindExpert}
+	w.SetFaultPlan(fault.New(down))
+	w.SetRetry(fastRetry())
+	layer.ZeroGrad()
+	_, cache, err := w.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Backward(cache, dy); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := w.Recover(snap, RecoveryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.MovedExperts) == 0 || rep.Retries != len(rep.MovedExperts) {
+		t.Fatalf("recovery retried %d broadcasts for %d moved experts, want one each", rep.Retries, len(rep.MovedExperts))
+	}
+}
+
+// collectivePass runs one forward/backward pass on a fresh world under fp
+// and returns both plans' traces plus the change in the free-list
+// balance (tensor.PoolOutstanding) across the pass.
+func collectivePass(t *testing.T, layer *MOELayer, cfg WorldConfig, fp *fault.Plan, x, dy *tensor.Tensor) ([]*sim.Trace, int64) {
+	t.Helper()
+	w, err := NewWorld(layer, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetFaultPlan(fp)
+	w.SetRetry(fastRetry())
+	before := tensor.PoolOutstanding()
+	layer.ZeroGrad()
+	_, cache, err := w.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := w.LastTrace()
+	if _, err := w.Backward(cache, dy); err != nil {
+		t.Fatal(err)
+	}
+	return []*sim.Trace{fwd, w.LastTrace()}, tensor.PoolOutstanding() - before
+}

@@ -285,8 +285,23 @@ var poolDebug atomic.Bool
 // a view (View/Slice/Reshape result) panics instead of no-oping: a view
 // aliases its parent's backing array, so a Put through it is always a bug —
 // either a leak (the caller meant to Put the parent) or, if the parent is
-// pooled, a latent double-free. Tests enable it to pin the ownership rules.
+// pooled, a latent double-free. Debug mode also keeps the Get-minus-Put
+// balance PoolOutstanding reports. Tests enable it to pin the ownership
+// rules.
 func SetPoolDebug(on bool) { poolDebug.Store(on) }
+
+// poolOutstanding is the debug-mode Get-minus-Put balance of free-list
+// buffers; see PoolOutstanding.
+var poolOutstanding atomic.Int64
+
+// PoolOutstanding returns how many free-list buffers Get/GetUninit handed
+// out, minus how many Put returned, while SetPoolDebug was on. A code
+// path that releases everything it takes leaves it unchanged, so tests
+// pin leak-freedom (failure and retry paths included) by comparing it
+// before and after. Buffers taken or returned with debug mode off are not
+// counted, so compare only across a span that runs entirely in debug
+// mode.
+func PoolOutstanding() int64 { return poolOutstanding.Load() }
 
 // bucketFor returns the free-list class for n elements: the smallest b with
 // 1<<b >= n.
@@ -323,6 +338,9 @@ func GetUninit(shape ...int) *Tensor {
 	t.data = t.data[:n]
 	t.setShape(shape)
 	t.poolable = true
+	if poolDebug.Load() {
+		poolOutstanding.Add(1)
+	}
 	return t
 }
 
@@ -353,6 +371,9 @@ func Put(t *Tensor) {
 		return
 	}
 	t.poolable = false
+	if poolDebug.Load() {
+		poolOutstanding.Add(-1)
+	}
 	c := cap(t.data)
 	if c == 0 || c&(c-1) != 0 {
 		return // not a pool-shaped buffer; drop it

@@ -181,3 +181,30 @@ func TestPutDebugToleratesPlainTensors(t *testing.T) {
 	Put(FromData([]float64{1, 2}, 2))
 	Put(nil)
 }
+
+// TestPoolOutstanding: in debug mode the free-list balance counts every
+// pooled Get against its Put; plain tensors and out-of-debug traffic
+// leave it alone.
+func TestPoolOutstanding(t *testing.T) {
+	SetPoolDebug(true)
+	defer SetPoolDebug(false)
+	base := PoolOutstanding()
+	a, b := Get(3, 3), GetUninit(5)
+	if got := PoolOutstanding() - base; got != 2 {
+		t.Fatalf("after two Gets balance moved by %d, want 2", got)
+	}
+	Put(a)
+	Put(New(2))
+	if got := PoolOutstanding() - base; got != 1 {
+		t.Fatalf("after one pooled Put balance moved by %d, want 1", got)
+	}
+	Put(b)
+	if got := PoolOutstanding() - base; got != 0 {
+		t.Fatalf("balanced Get/Put left %d outstanding", got)
+	}
+	SetPoolDebug(false)
+	Put(Get(4))
+	if got := PoolOutstanding() - base; got != 0 {
+		t.Fatalf("traffic outside debug mode moved the balance by %d", got)
+	}
+}
