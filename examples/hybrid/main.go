@@ -3,9 +3,10 @@
 // between groups on the inter stream while each group's AllGather /
 // ReduceScatter stages run on its own intra stream — one schedule
 // carrying both collective families, bit-identical to the single-process
-// layer. The group size is a tuning knob: g=1 degenerates to pure EP and
-// g=ranks to pure ESP (the runtime delegates, so the edges ARE the pure
-// strategies), and leaving GroupSize unset lets the 2-D Algorithm-1 grid
+// layer. The group size is a tuning knob: g=ranks is pure ESP (the
+// runtime builds ESP as hybrid's one-group case) and g=1 delegates to
+// pure EP, so the edges ARE the pure strategies; leaving GroupSize unset
+// lets the 2-D Algorithm-1 grid
 // over (group size × pipeline degree) pick it.
 //
 //	go run ./examples/hybrid

@@ -404,8 +404,8 @@ func (c *Calibration) volumes(s Strategy) (core.Volumes, bool) {
 
 // hybridVolumes returns the measured volume set for one hybrid grid cell.
 // The degenerate group sizes resolve to the pure strategies' measured
-// volumes — the runtime delegates those cells, so their measurements ARE
-// the EP/ESP sweeps.
+// volumes — ESP is hybrid's one-group case and g=1 delegates to EP, so
+// their measurements ARE the EP/ESP sweeps.
 func (c *Calibration) hybridVolumes(g int) (core.Volumes, bool) {
 	switch g {
 	case 1:

@@ -56,9 +56,10 @@
 // Each group's intra-collectives run on their own intra:g<G> stream
 // concurrently with the other groups' and with the inter-group AlltoAll
 // lanes, so both §4 overlap dimensions appear in one plan. The edges
-// degenerate exactly: GroupSize 1 delegates to pure EP and GroupSize R
-// to pure ESP — the plans are task-for-task those of the pure
-// strategies — and every interior cell is bit-identical to the
+// degenerate exactly: GroupSize R is ESP, which the runtime builds as
+// hybrid's one-group case, and GroupSize 1 delegates to pure EP — the
+// plans are task-for-task those of the pure strategies — and every
+// interior cell is bit-identical to the
 // single-rank layer. Leaving GroupSize zero under StrategyHybrid (or
 // StrategyAuto) lets the grid pick g; Calibration sweeps the hybrid
 // cells too, so calibrated worlds pick (g, r) from measured costs.

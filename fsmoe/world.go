@@ -127,9 +127,10 @@ const (
 	// AlltoAll runs between groups on the inter stream while each group's
 	// AllGather/ReduceScatter stages run on a per-group intra stream, so
 	// the group size trades inter-node AlltoAll volume against in-group
-	// collective volume. GroupSize=1 degenerates to EP, GroupSize=Ranks
-	// to ESP (the runtime delegates, so the edges are the pure strategies
-	// exactly). Requires every expert to implement ShardedExpert.
+	// collective volume. GroupSize=Ranks is ESP (the runtime builds ESP
+	// as this strategy's one-group case) and GroupSize=1 delegates to EP,
+	// so the edges are the pure strategies exactly. Requires every
+	// expert to implement ShardedExpert.
 	StrategyHybrid = moe.StrategyHybrid
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
 	// pipeline chunked over expert slots instead of token rows.
@@ -227,8 +228,8 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 	} else if strat == StrategyHybrid && groupSize == 0 {
 		// Explicit hybrid with an unset group size: the 2-D grid picks g
 		// (and the per-phase degrees) over every divisor of the rank
-		// count — including the degenerate edges, which the runtime
-		// delegates to the pure strategies.
+		// count — including the degenerate edges, which are the pure
+		// strategies' plans (g=R is ESP itself, g=1 delegates to EP).
 		groupSize, autoDegF, autoDegB, haveDegrees = hybridGroupPick(m, volsFor, hybridFor, cfg.Ranks)
 		if !haveDegrees {
 			groupSize = 1
@@ -354,8 +355,8 @@ func hybridGroupPick(m core.Models, volsFor func(Strategy) (core.Volumes, bool),
 
 // gridVolumes maps a grid cell to its volume set: the degenerate edges
 // reuse the pure strategies' volumes, so the grid coincides with the 1-D
-// strategy comparison there — exactly as the runtime delegates those
-// group sizes to the pure strategies.
+// strategy comparison there — exactly as the runtime's plans coincide
+// there (g=R is ESP, hybrid's one-group case; g=1 delegates to EP).
 func gridVolumes(volsFor func(Strategy) (core.Volumes, bool), hybridFor func(int) (core.Volumes, bool), ranks, g int) (core.Volumes, bool) {
 	switch g {
 	case 1:
@@ -456,8 +457,9 @@ func layerVolumes(l *Layer, tokens int, strat Strategy) Volumes {
 
 // hybridLayerVolumes derives the volumes of one hybrid grid cell. The
 // degenerate group sizes return the pure strategies' volume sets exactly
-// (the runtime delegates those cells, so the grid's edges must coincide
-// with the 1-D comparisons). Interior cells interpolate: with lanes of
+// (the runtime builds those cells as the pure strategies — ESP is
+// hybrid's one-group case, g=1 delegates to EP — so the grid's edges must
+// coincide with the 1-D comparisons). Interior cells interpolate: with lanes of
 // R/g ranks, the fraction of dispatched rows crossing lanes is 1-g/R,
 // normalized by EP's 1-1/R so g=1 recovers EP's convention; the in-group
 // AllGather/ReduceScatter traffic carries the ring factor (g-1)/g,

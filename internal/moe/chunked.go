@@ -49,6 +49,12 @@ type ChunkedExpert interface {
 // ChunkedCache is the opaque full-block state of one chunked pass.
 type ChunkedCache interface{}
 
+// chunkReleaser is a ChunkedCache that can return its pooled buffers
+// without running FinishBackward — what World does for the caches of a
+// plan that aborted. The built-in experts' caches implement it; other
+// caches fall to the garbage collector.
+type chunkReleaser interface{ release() }
+
 // gptChunkCache is GPTFFN's chunked-pass state: full-block views supplied
 // by the caller plus pooled full-block activation buffers that chunks fill
 // range by range.
@@ -117,9 +123,15 @@ func (f *GPTFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor) {
 	tensor.AddInPlace(f.w1.G, gw1)
 	tensor.Put(gw1)
 	addColSum(f.b1.G, c.da)
+	c.release()
+}
+
+// release returns the cache's pooled buffers; safe to repeat.
+func (c *gptChunkCache) release() {
 	tensor.Put(c.da)
 	tensor.Put(c.a)
 	tensor.Put(c.h)
+	c.da, c.a, c.h = nil, nil, nil
 }
 
 // mixtralChunkCache is MixtralFFN's chunked-pass state.
@@ -210,9 +222,15 @@ func (f *MixtralFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor) {
 	c.pool.MatMulT1Into(gw13, c.x, c.du)
 	tensor.AddInPlace(f.w3.G, gw13)
 	tensor.Put(gw13)
+	c.release()
+}
+
+// release returns the cache's pooled buffers; safe to repeat.
+func (c *mixtralChunkCache) release() {
 	tensor.Put(c.da)
 	tensor.Put(c.du)
 	tensor.Put(c.a)
 	tensor.Put(c.g)
 	tensor.Put(c.u)
+	c.da, c.du, c.a, c.g, c.u = nil, nil, nil, nil, nil
 }

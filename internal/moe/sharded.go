@@ -81,6 +81,23 @@ type ShardedExpert interface {
 // ShardedCache is the opaque per-member state of one sharded pass.
 type ShardedCache interface{}
 
+// colShard returns member g's hidden-column range under the uniform
+// ceiling allocation: every member is allotted ⌈w/ranks⌉ wire columns so
+// the exchange blocks stay uniform, and trailing members may own fewer
+// (or zero) real columns.
+func colShard(w, g, ranks int) (lo, hi int) {
+	per := (w + ranks - 1) / ranks
+	lo = g * per
+	hi = lo + per
+	if lo > w {
+		lo = w
+	}
+	if hi > w {
+		hi = w
+	}
+	return lo, hi
+}
+
 // copyCols copies columns [cl, ch) of a (rows, w) matrix held in src into
 // a dense (rows, ch-cl) destination, or scatters back when gather is
 // false. It is the local column re-layout between an expert's dense

@@ -37,10 +37,10 @@ const (
 	// combine AlltoAll route tokens *between* groups on the shared inter
 	// stream while AllGather/ReduceScatter and the sharded GEMM stages run
 	// *within* each group on per-group intra collective streams. GroupSize
-	// 1 degenerates to EP-shaped plans and GroupSize R to ESP-shaped ones
-	// (built by the specialized strategies, so the plans are exactly
-	// theirs). Hard-routing plans only; experts must implement
-	// ShardedExpert at every group size.
+	// R is ESP itself (one builder: ESP is the one-group case) and
+	// GroupSize 1 delegates to the EP builder, so both edges' plans are
+	// exactly the pure strategies'. Hard-routing plans only; experts must
+	// implement ShardedExpert at every group size.
 	StrategyHybrid Strategy = "hybrid"
 )
 
@@ -79,12 +79,10 @@ func strategyFor(s Strategy) (ParallelStrategy, error) {
 	switch s {
 	case StrategyEP:
 		return &epStrategy{}, nil
-	case StrategyESP:
-		return &espStrategy{}, nil
+	case StrategyESP, StrategyHybrid:
+		return &hybridStrategy{name: s}, nil
 	case StrategyDenseSlots:
 		return &denseSlotsStrategy{}, nil
-	case StrategyHybrid:
-		return &hybridStrategy{}, nil
 	default:
 		return nil, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
 			s, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)

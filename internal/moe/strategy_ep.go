@@ -29,7 +29,7 @@ type epStrategy struct {
 type epCache struct {
 	xBlocks   []*tensor.Tensor // per rank (Eg, Tpad, M) expert inputs
 	outBlocks []*tensor.Tensor // per rank (Eg, Tpad, M) expert outputs
-	ccs       [][]ChunkedCache // [rank][local expert], chunked mode
+	ccs       [][]ChunkedCache // [rank][local expert], chunked mode; nil once finished
 	expCaches [][]ExpertCache  // [rank][local expert], fallback mode
 }
 
@@ -161,6 +161,15 @@ func (s *epStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache, 
 					w.computePool(j))
 			}
 		}
+		cache.onAbort(func() {
+			for _, ccs := range ec.ccs {
+				for _, cc := range ccs {
+					if r, ok := cc.(chunkReleaser); ok {
+						r.release()
+					}
+				}
+			}
+		})
 	} else {
 		ec.expCaches = make([][]ExpertCache, R)
 		for j := 0; j < R; j++ {
@@ -442,6 +451,7 @@ func (s *epStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache,
 					for el := 0; el < eg; el++ {
 						ce := w.expert(j, el).(ChunkedExpert)
 						ce.FinishBackward(ec.ccs[j][el], expertView(dyBlocks[j], el, tpad, mdim))
+						ec.ccs[j][el] = nil
 					}
 					return nil
 				}, expTask[len(ranges)-1][j])

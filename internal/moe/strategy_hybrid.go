@@ -8,12 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// hybridStrategy is the §4 generalized MoE configuration between pure EP
-// and pure ESP: the R ranks split into nG = R/g expert-parallel groups of
-// g expert-sharding members (g = WorldConfig.GroupSize). Group G owns the
-// contiguous expert range [G·Egg, (G+1)·Egg), Egg = g·E/R, and its g
-// members shard every group expert's compute the way ESP shards all of
-// them. Per chunk c the plan is
+// hybridStrategy is the §4 generalized MoE layer: the R ranks split into
+// nG = R/g expert-parallel groups of g expert-sharding members. Group G
+// owns the contiguous expert range [G·Egg, (G+1)·Egg), Egg = g·E/R, and
+// its g members shard every group expert's compute. Per chunk c the plan
+// is
 //
 //	D       dispatch AlltoAll between groups: lane m (member m of every
 //	        group, global ranks {p·g+m}) runs an nG-participant AlltoAll
@@ -29,41 +28,50 @@ import (
 //	        (one non-zero contributor per element, so the ring is exact);
 //	C       combine AlltoAll between groups, back on the inter stream.
 //
+// The backward pass is the adjoint chain: combine-gradient lanes, AG(dy),
+// B1 (column-sharded), AG(hidden grads), B2 (row-sharded), RS(dx),
+// dispatch-gradient lanes.
+//
+// StrategyESP is the one-group case (g = R, GroupSize ignored): every
+// rank shards every expert, the lane hops are the identity and are not
+// emitted, the in-group row exchange packs straight from the scattered
+// buffer and lands straight into the combined one, and the single
+// group's collectives run on the shared intra stream with no member
+// list. The inter stream then carries no layer collective at all, so §5
+// AllReduce slices overlap the intra-stream AG/RS chain freely — the
+// measured counterpart of the paper's inter/intra-node co-scheduling.
+// Hybrid at GroupSize 1 (pure EP) delegates to the EP builder, which
+// also serves whole-block experts.
+//
 // Bit-identity leans on one invariant: a member lands every dispatched
 // row at its canonical offset (p·g+m)·spad+t inside the group's
 // (Egg, tpad, M) buffers, so the assembled blocks are ordered exactly as
-// the sequential layer's and ESP's. The stage GEMMs then shard complete
-// dot products (columns forward, rows backward), and each expert's
+// the sequential layer's. The stage GEMMs then shard complete dot
+// products (columns forward, rows backward), and each expert's
 // full-block weight-gradient reduction runs once on its owner rank
 // j = e·R/E (the RankGrads mapping; owner j is member j mod g of group
-// j div g) from fully assembled buffers — the same one-contributor-exact
-// argument as ESP, now with both stream families live in one plan.
-//
-// GroupSize 1 and R are built by the specialized strategies (EP and ESP
-// respectively) through delegation, so the degenerate plans are exactly
-// theirs — Name still reports "hybrid", and the ShardedExpert requirement
-// holds at every g for a uniform contract. The genuine two-stream path
-// runs for 1 < g < R.
+// j div g) from fully assembled buffers.
 type hybridStrategy struct {
-	g, nG   int              // group size, group count
-	eg, egg int              // experts per rank, experts per group
-	inner   ParallelStrategy // degenerate delegate (g=1 EP, g=R ESP), else nil
-	experts []ShardedExpert  // the layer's experts under the sharded contract
-	groups  [][]int          // groups[G]: contiguous member ranks of group G
-	lanes   [][]int          // lanes[m]: member m of every group, stride g
+	name    Strategy        // StrategyHybrid, or StrategyESP (one group)
+	g, nG   int             // group size, group count
+	eg, egg int             // experts per rank, experts per group
+	inner   *epStrategy     // the GroupSize-1 delegate, else nil
+	experts []ShardedExpert // the layer's experts under the sharded contract
+	groups  [][]int         // groups[G]: contiguous member ranks of group G
+	lanes   [][]int         // lanes[m]: member m of every group, stride g
 }
 
-// hybridCache is the hybrid forward state Backward consumes.
+// hybridCache is the forward state Backward consumes.
 type hybridCache struct {
 	xFull   []*tensor.Tensor   // per rank (Egg, tpad, M) assembled group inputs
 	outFull []*tensor.Tensor   // per rank (Egg, tpad, M) row-shard outputs
 	hf      [][]*tensor.Tensor // [rank][group-local expert] exchange buffers
-	scs     [][]ShardedCache   // [rank][group-local expert]
+	scs     [][]ShardedCache   // [rank][group-local expert]; nil once released
 }
 
-// Name implements ParallelStrategy. Degenerate group sizes still report
-// the hybrid name: the delegate is a plan-construction detail.
-func (s *hybridStrategy) Name() Strategy { return StrategyHybrid }
+// Name implements ParallelStrategy. Hybrid at GroupSize 1 still reports
+// the hybrid name: the EP delegate is a plan-construction detail.
+func (s *hybridStrategy) Name() Strategy { return s.name }
 
 // Chunked implements ParallelStrategy.
 func (s *hybridStrategy) Chunked() bool {
@@ -79,20 +87,23 @@ func (s *hybridStrategy) Chunked() bool {
 // g validates at all of them (the Algorithm-1 grid sweeps g freely).
 func (s *hybridStrategy) Validate(l *MOELayer, cfg WorldConfig) error {
 	r, g := cfg.Ranks, cfg.GroupSize
+	if s.name == StrategyESP {
+		g = r
+	}
 	if g < 1 || g > r {
 		return fmt.Errorf("moe: strategy %q needs GroupSize in [1, %d] (the rank count), got GroupSize=%d",
-			StrategyHybrid, r, g)
+			s.name, r, g)
 	}
 	if r%g != 0 {
 		return fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
-			StrategyHybrid, r, g)
+			s.name, r, g)
 	}
 	s.experts = make([]ShardedExpert, len(l.cfg.Experts))
 	for e, ex := range l.cfg.Experts {
 		se, ok := ex.(ShardedExpert)
 		if !ok {
-			return fmt.Errorf("moe: strategy %q requires sharded expert compute at every GroupSize, but expert %d (%T) does not implement ShardedExpert; whole-block experts run under strategy %q",
-				StrategyHybrid, e, ex, StrategyEP)
+			return fmt.Errorf("moe: strategy %q requires sharded expert compute, but expert %d (%T) does not implement ShardedExpert; whole-block experts run under strategy %q",
+				s.name, e, ex, StrategyEP)
 		}
 		s.experts[e] = se
 	}
@@ -113,22 +124,18 @@ func (s *hybridStrategy) Validate(l *MOELayer, cfg WorldConfig) error {
 			s.lanes[m][p] = p*g + m
 		}
 	}
-	switch g {
-	case 1:
+	if g == 1 && s.name == StrategyHybrid {
 		s.inner = &epStrategy{}
-	case r:
-		s.inner = &espStrategy{}
-	default:
-		return nil
+		return s.inner.Validate(l, cfg)
 	}
-	return s.inner.Validate(l, cfg)
+	return nil
 }
 
 // PlanCheck implements ParallelStrategy.
 func (s *hybridStrategy) PlanCheck(plan *DispatchPlan) error {
 	if plan.IsDense() {
-		return fmt.Errorf("moe: strategy %q supports hard routing only (dense SoftMoE plans have no token rows to route between groups); dense plans run under strategy %q",
-			StrategyHybrid, StrategyDenseSlots)
+		return fmt.Errorf("moe: strategy %q supports hard routing only (dense SoftMoE plans have no token rows to shard); dense plans run under strategy %q",
+			s.name, StrategyDenseSlots)
 	}
 	return nil
 }
@@ -167,13 +174,25 @@ func (s *hybridStrategy) laneGpn(w *World) int {
 }
 
 // groupEst is a structural duration estimate (MMACs) of group G's expert
-// range over rows, the hybrid analog of World.allExpertEst.
+// range over rows, the group analog of World.expertEst.
 func (s *hybridStrategy) groupEst(gi, rows int) float64 {
 	macs := 0.0
 	for _, ex := range s.experts[gi*s.egg : (gi+1)*s.egg] {
 		macs += ex.FwdMACs(rows)
 	}
 	return macs / 1e6
+}
+
+// groupComm returns group gi's collective stream and a communicator for
+// the next collective on it. The one group of the ESP case spans every
+// rank (no member list) on the shared intra stream, which also keys its
+// fault guards.
+func (s *hybridStrategy) groupComm(w *World, gi int, kind string) (string, comm.Comm) {
+	if s.nG == 1 {
+		return collStream, w.collComm(collStream, kind, nil, w.cfg.GPUsPerNode)
+	}
+	st := groupCollStream(gi)
+	return st, w.collComm(st, kind, s.groups[gi], s.groupGpn(w))
 }
 
 // laneA2A wraps one chunk's dispatch (or combine) step: the g per-lane
@@ -228,8 +247,9 @@ func (s *hybridStrategy) xferMember(pool *tensor.Pool, wire, block []float64, m,
 // buffer and the slot-major group wire the in-group AllGather and
 // ReduceScatter tile: wire row t stacks every (expert, peer-group) pair of
 // member m's strided slot rows side by side, width E·M, so the group
-// collectives chunk by slot row exactly like ESP's. Experts shard over
-// pool.
+// collectives chunk by slot row. With one group the buffer is the
+// (E, tpad, M) scattered or combined buffer itself and wire row t holds
+// every expert's row m·spad+t. Experts shard over pool.
 func (s *hybridStrategy) xferRows(pool *tensor.Pool, wire, block []float64, m, mdim, spad, tpad int, rr comm.RowRange, toWire bool) {
 	g, nG, egg := s.g, s.nG, s.egg
 	width := egg * nG // == E
@@ -249,62 +269,232 @@ func (s *hybridStrategy) xferRows(pool *tensor.Pool, wire, block []float64, m, m
 	})
 }
 
-// rowsExchange appends one chunk's in-group row AllGather to the plan:
-// per-member packs of the member's canonical strided rows, one ring
-// AllGather per group on that group's collective stream, and per-member
-// scatter of the other members' rows into the (Egg, tpad, M) buffers.
-// bufs[j] is rank j's group buffer (xFull forward, dyFull backward);
-// deps[j] gates rank j's pack. Returns the per-rank unpack task ids.
-func (s *hybridStrategy) rowsExchange(w *World, p *runtime.Plan, label string, bufs []*tensor.Tensor, data, out [][]float64, mdim, spad, tpad int, rr comm.RowRange, deps []int) []int {
-	g := s.g
-	r := s.nG * g
-	e := s.egg * s.nG
-	gdims := comm.BlockDims{Rows: spad, Width: e * mdim}
-	blk := gdims.Elems()
-	packIDs := make([]int, r)
-	for j := 0; j < r; j++ {
+// hybridPass is one plan under construction: the world, the plan, the
+// pass's cache, the padded slot geometry every task shares, and the
+// pass's wire buffers — the outbound and return lane pairs (nil with one
+// group, which has no lane hops) and the in-group AllGather and
+// ReduceScatter pairs.
+type hybridPass struct {
+	*hybridStrategy
+	w                            *World
+	p                            *runtime.Plan
+	cache                        *WorldCache
+	mdim, spad, tpad             int
+	send, recv, back, backRecv   [][]float64
+	agData, agOut, rsData, rsOut [][]float64
+}
+
+func (s *hybridStrategy) pass(w *World, p *runtime.Plan, cache *WorldCache) *hybridPass {
+	h := &hybridPass{hybridStrategy: s, w: w, p: p, cache: cache, mdim: w.layer.cfg.M, spad: cache.spad, tpad: cache.tpad}
+	r, g := s.nG*s.g, s.g
+	if s.nG > 1 {
+		n := s.nG * h.spad * s.egg * h.mdim
+		h.send, h.recv, h.back, h.backRecv = wireBuffers(r, n), wireBuffers(r, n), wireBuffers(r, n), wireBuffers(r, n)
+	}
+	blk := h.rowElems(h.spad)
+	h.agData, h.agOut = wireBuffers(r, blk), wireBuffers(r, g*blk)
+	h.rsData, h.rsOut = wireBuffers(r, g*blk), wireBuffers(r, blk)
+	return h
+}
+
+// rowElems is the element count of rows slot rows across every expert.
+func (h *hybridPass) rowElems(rows int) int { return len(h.experts) * rows * h.mdim }
+
+// laneEst is the estimate of one chunk's lane AlltoAll step.
+func (h *hybridPass) laneEst(rr comm.RowRange) float64 {
+	r := h.nG * h.g
+	return estElems(r * r * h.eg * rr.Len() * h.mdim)
+}
+
+// laneDims is the per-peer block geometry of the lane wires.
+func (h *hybridPass) laneDims() comm.BlockDims {
+	return comm.BlockDims{Rows: h.spad, Width: h.egg * h.mdim}
+}
+
+// packRows adds rank j's pack of its canonical chunk rows from block into
+// the slot-major wire.
+func (h *hybridPass) packRows(label string, j int, wire, block []float64, rr comm.RowRange, deps ...int) int {
+	return h.p.Add(label, KindPack, intraStream(j), estElems(h.rowElems(rr.Len())), func() error {
+		h.xferRows(h.w.stagingPool(), wire, block, j%h.g, h.mdim, h.spad, h.tpad, rr, true)
+		return nil
+	}, deps...)
+}
+
+// unpackRows adds rank j's scatter of every group member's gathered chunk
+// rows into block. With more than one group the member's own rows
+// already live in block (its lane landed them) and are skipped.
+func (h *hybridPass) unpackRows(label string, j int, block []float64, rr comm.RowRange, ag int) int {
+	g, m := h.g, j%h.g
+	blk := h.rowElems(h.spad)
+	return h.p.Add(label, KindPack, intraStream(j), estElems(g*h.rowElems(rr.Len())), func() error {
+		for src := 0; src < g; src++ {
+			if src == m && h.nG > 1 {
+				continue
+			}
+			h.xferRows(h.w.stagingPool(), h.agOut[j][src*blk:(src+1)*blk], block, src, h.mdim, h.spad, h.tpad, rr, false)
+		}
+		return nil
+	}, ag)
+}
+
+// rowsColl adds group gi's in-group AllGather or ReduceScatter of chunk
+// rows over the slot-major wires, gated on the members' tasks in ids.
+func (h *hybridPass) rowsColl(label string, gi int, kind string, data, out [][]float64, rr comm.RowRange, ids []int) int {
+	g := h.g
+	dims := comm.BlockDims{Rows: h.spad, Width: len(h.experts) * h.mdim}
+	stream, gc := h.groupComm(h.w, gi, kind)
+	return h.p.Add(label, kind, stream, estElems((g-1)*g*h.rowElems(rr.Len())), func() error {
+		var st comm.Stats
+		var err error
+		if kind == KindAG {
+			st, err = gc.AllGatherRows(data, out, dims, rr)
+		} else {
+			st, err = gc.ReduceScatterRows(data, out, dims, rr)
+		}
+		if err != nil {
+			return err
+		}
+		h.w.addStats(st)
+		return nil
+	}, ids[gi*g:(gi+1)*g]...)
+}
+
+// outbound adds chunk c's first collective out of the token-side buffer
+// src (scattered x forward, dy backward): the lane AlltoAll named lane
+// behind per-rank packs, or with one group the in-group AllGather packed
+// straight from src. Returns the collective's task id.
+func (h *hybridPass) outbound(c int, lane string, src []float64, rr comm.RowRange) int {
+	packIDs := make([]int, h.nG*h.g)
+	for i := range packIDs {
+		i := i
+		if h.nG == 1 {
+			packIDs[i] = h.packRows(fmt.Sprintf("G%d[%d]", c, i), i, h.agData[i], src, rr)
+			continue
+		}
+		packIDs[i] = h.p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, intraStream(i),
+			estElems(h.rowElems(rr.Len())), func() error {
+				xferGlobal(h.w.stagingPool(), h.send[i], src, h.nG, h.egg, h.mdim, h.spad, h.tpad, i, rr, true)
+				return nil
+			})
+	}
+	if h.nG == 1 {
+		return h.rowsColl(fmt.Sprintf("AG[%d]", c), 0, KindAG, h.agData, h.agOut, rr, packIDs)
+	}
+	return h.p.Add(fmt.Sprintf("%s[%d]", lane, c), KindA2A, "inter", h.laneEst(rr),
+		h.laneA2A(h.w, h.send, h.recv, h.laneDims(), rr), packIDs...)
+}
+
+// inbound adds the arrival side of a chunk whose outbound collective is
+// task first: each rank lands its lane arrivals at canonical offsets in
+// bufs[j] and shares them in-group (with one group it only unpacks the
+// gathered rows), then stage(j, dep) appends rank j's first compute task
+// behind them. Returns the stage task ids.
+func (h *hybridPass) inbound(label string, first int, bufs []*tensor.Tensor, rr comm.RowRange, stage func(j, dep int) int) []int {
+	ids := make([]int, len(bufs))
+	if h.nG == 1 {
+		for j := range ids {
+			ids[j] = stage(j, h.unpackRows(fmt.Sprintf("U%s[%d]", label, j), j, bufs[j].Data(), rr, first))
+		}
+		return ids
+	}
+	for j := range ids {
 		j := j
-		m := j % g
-		packIDs[j] = p.Add(fmt.Sprintf("G%s[%d]", label, j), KindPack, intraStream(j),
-			estElems(e*rr.Len()*mdim), func() error {
-				s.xferRows(w.stagingPool(), data[j], bufs[j].Data(), m, mdim, spad, tpad, rr, true)
+		ids[j] = h.p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
+			estElems(h.rowElems(rr.Len())), func() error {
+				h.xferMember(h.w.stagingPool(), h.recv[j], bufs[j].Data(), j%h.g, h.mdim, h.spad, h.tpad, rr, false)
 				return nil
-			}, deps[j])
+			}, first)
 	}
-	unpackIDs := make([]int, r)
-	for gi := 0; gi < s.nG; gi++ {
-		gi := gi
-		members := s.groups[gi]
-		gc := w.collComm(groupCollStream(gi), KindAG, members, s.groupGpn(w))
-		agDeps := make([]int, g)
-		for m := 0; m < g; m++ {
-			agDeps[m] = packIDs[members[m]]
+	for j := range ids {
+		ids[j] = h.packRows(fmt.Sprintf("G%s[%d]", label, j), j, h.agData[j], bufs[j].Data(), rr, ids[j])
+	}
+	unpackIDs := make([]int, len(bufs))
+	for gi, members := range h.groups {
+		ag := h.rowsColl(fmt.Sprintf("AG%s[g%d]", label, gi), gi, KindAG, h.agData, h.agOut, rr, ids)
+		for _, j := range members {
+			unpackIDs[j] = h.unpackRows(fmt.Sprintf("U%s[%d]", label, j), j, bufs[j].Data(), rr, ag)
 		}
-		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
-			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
-				st, err := gc.AllGatherRows(data, out, gdims, rr)
-				if err != nil {
-					return err
-				}
-				w.addStats(st)
-				return nil
-			}, agDeps...)
-		for m := 0; m < g; m++ {
-			j := members[m]
-			m := m
-			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
-				estElems(g*e*rr.Len()*mdim), func() error {
-					for src := 0; src < g; src++ {
-						if src == m {
-							continue // own rows already live in the buffer
-						}
-						s.xferRows(w.stagingPool(), out[j][src*blk:(src+1)*blk], bufs[j].Data(), src, mdim, spad, tpad, rr, false)
-					}
+	}
+	for j, u := range unpackIDs {
+		ids[j] = stage(j, u)
+	}
+	return ids
+}
+
+// toTokens adds chunk c's return path: rank j's row-sharded stage(j, dep)
+// behind deps[j], the in-group ReduceScatter of the row-disjoint bufs
+// (each member packs only its own segment, so every summed element has
+// exactly one non-zero contributor and the ring is exact), and the lane
+// AlltoAll named lane back to the token side, landing every rank's rows
+// in dst. With one group each rank packs right behind its stage and the
+// ReduceScatter lands straight in dst. emit, when non-nil, runs right
+// after the chunk's last outbound collective. Returns the stage task ids.
+func (h *hybridPass) toTokens(c int, label, lane string, stage func(j, dep int) int, deps []int, bufs []*tensor.Tensor, dst *tensor.Tensor, rr comm.RowRange, emit func()) []int {
+	r := len(bufs)
+	blk := h.rowElems(h.spad)
+	stageIDs := make([]int, r)
+	packIDs := make([]int, r)
+	pack := func(j int) {
+		m := j % h.g
+		packIDs[j] = h.packRows(fmt.Sprintf("P%s[%d]", label, j), j, h.rsData[j][m*blk:(m+1)*blk], bufs[j].Data(), rr, stageIDs[j])
+	}
+	for j := range stageIDs {
+		stageIDs[j] = stage(j, deps[j])
+		if h.nG == 1 {
+			pack(j)
+		}
+	}
+	landIn := bufs
+	if h.nG == 1 {
+		landIn = make([]*tensor.Tensor, r)
+		for j := range landIn {
+			landIn[j] = dst
+		}
+	} else {
+		for j := range packIDs {
+			pack(j)
+		}
+	}
+	landIDs := make([]int, r)
+	for gi, members := range h.groups {
+		rs := h.rowsColl(fmt.Sprintf("RS%s[g%d]", label, gi), gi, KindRS, h.rsData, h.rsOut, rr, packIDs)
+		if h.nG == 1 && emit != nil {
+			emit()
+		}
+		for _, j := range members {
+			j := j
+			landIDs[j] = h.p.Add(fmt.Sprintf("V%s[%d]", label, j), KindPack, intraStream(j),
+				estElems(h.rowElems(rr.Len())), func() error {
+					h.xferRows(h.w.stagingPool(), h.rsOut[j], landIn[j].Data(), j%h.g, h.mdim, h.spad, h.tpad, rr, false)
 					return nil
-				}, ag)
+				}, rs)
 		}
 	}
-	return unpackIDs
+	if h.nG == 1 {
+		return stageIDs
+	}
+	for j := range packIDs {
+		j := j
+		packIDs[j] = h.p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, intraStream(j),
+			estElems(h.rowElems(rr.Len())), func() error {
+				h.xferMember(h.w.stagingPool(), h.back[j], bufs[j].Data(), j%h.g, h.mdim, h.spad, h.tpad, rr, true)
+				return nil
+			}, landIDs[j])
+	}
+	a2a := h.p.Add(fmt.Sprintf("%s[%d]", lane, c), KindA2A, "inter", h.laneEst(rr),
+		h.laneA2A(h.w, h.back, h.backRecv, h.laneDims(), rr), packIDs...)
+	if emit != nil {
+		emit()
+	}
+	for i := 0; i < r; i++ {
+		i := i
+		h.p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
+			estElems(h.rowElems(rr.Len())), func() error {
+				xferGlobal(h.w.stagingPool(), h.backRecv[i], dst.Data(), h.nG, h.egg, h.mdim, h.spad, h.tpad, i, rr, false)
+				return nil
+			}, a2a)
+	}
+	return stageIDs
 }
 
 // hiddenBlock is the per-member wire block of one hidden exchange chunk
@@ -326,9 +516,10 @@ func (s *hybridStrategy) hiddenBlock(gi, rlen int, fwd bool) int {
 }
 
 // xferHidden moves member's hidden-column shards for chunk rows between
-// group gi's full-width per-expert buffers bufs and a dense wire block
-// (the hybrid analog of ESP's xferHidden: columns shard g ways, rows span
-// all R arrival ranges).
+// group gi's full-width per-expert buffers bufs and a dense wire block:
+// columns shard g ways, rows span all R arrival ranges. toWire packs the
+// member's own computed columns, !toWire scatters an arrived member's
+// columns into the full-width buffers.
 func (s *hybridStrategy) xferHidden(gi int, bufs []*tensor.Tensor, wire []float64, member, spad, tpad int, rr comm.RowRange, fwd, toWire bool) {
 	off := 0
 	rlen := rr.Len()
@@ -364,42 +555,43 @@ func (s *hybridStrategy) xferHidden(gi int, bufs []*tensor.Tensor, wire []float6
 
 // hiddenExchange appends one chunk's in-group hidden AllGather to the
 // plan: per-member packs of the member's computed columns (pooled wire
-// blocks), one ring AllGather per group on that group's collective
-// stream, and per-member scatter of every member's columns into the
-// full-width buffers. bufs[j] is rank j's per-expert buffer list (hf
-// forward, hb backward); deps[j] gates rank j's pack. Returns the
-// per-rank unpack task ids.
-func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string, bufs [][]*tensor.Tensor, spad, tpad int, rr comm.RowRange, fwd bool, deps []int) []int {
-	g := s.g
-	r := s.nG * g
+// blocks), one ring AllGather per group, and per-member scatter of every
+// member's columns into the full-width buffers. bufs[j] is rank j's
+// per-expert buffer list (hf forward, hb backward); deps[j] gates rank j's
+// pack. Returns the per-rank unpack task ids. Staging a plan abort
+// strands is returned to the pool through the pass cache.
+func (h *hybridPass) hiddenExchange(label string, bufs [][]*tensor.Tensor, rr comm.RowRange, fwd bool, deps []int) []int {
+	g := h.g
+	r := h.nG * g
 	sendT := make([]*tensor.Tensor, r)
 	send := make([][]float64, r)
 	outT := make([]*tensor.Tensor, r)
 	outB := make([][]float64, r)
+	h.cache.onAbort(func() {
+		for j := range sendT {
+			tensor.Put(sendT[j])
+			tensor.Put(outT[j])
+		}
+	})
 	packIDs := make([]int, r)
 	for j := 0; j < r; j++ {
 		j := j
 		gi, m := j/g, j%g
-		blk := s.hiddenBlock(gi, rr.Len(), fwd)
-		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, intraStream(j),
+		blk := h.hiddenBlock(gi, rr.Len(), fwd)
+		packIDs[j] = h.p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, intraStream(j),
 			estElems(blk), func() error {
 				t := tensor.GetUninit(blk)
 				sendT[j], send[j] = t, t.Data()
-				s.xferHidden(gi, bufs[j], send[j], m, spad, tpad, rr, fwd, true)
+				h.xferHidden(gi, bufs[j], send[j], m, h.spad, h.tpad, rr, fwd, true)
 				return nil
 			}, deps[j])
 	}
 	unpackIDs := make([]int, r)
-	for gi := 0; gi < s.nG; gi++ {
-		gi := gi
-		blk := s.hiddenBlock(gi, rr.Len(), fwd)
-		members := s.groups[gi]
-		gc := w.collComm(groupCollStream(gi), KindAG, members, s.groupGpn(w))
-		agDeps := make([]int, g)
-		for m := 0; m < g; m++ {
-			agDeps[m] = packIDs[members[m]]
-		}
-		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
+	for gi, members := range h.groups {
+		gi, members := gi, members
+		blk := h.hiddenBlock(gi, rr.Len(), fwd)
+		stream, gc := h.groupComm(h.w, gi, KindAG)
+		ag := h.p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, stream,
 			estElems((g-1)*g*blk), func() error {
 				for _, mr := range members {
 					if outT[mr] != nil {
@@ -412,77 +604,24 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 				if err != nil {
 					return err
 				}
-				w.addStats(st)
+				h.w.addStats(st)
 				return nil
-			}, agDeps...)
-		for m := 0; m < g; m++ {
-			j := members[m]
-			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
+			}, packIDs[gi*g:(gi+1)*g]...)
+		for _, j := range members {
+			j := j
+			unpackIDs[j] = h.p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
 				estElems(g*blk), func() error {
 					for src := 0; src < g; src++ {
-						s.xferHidden(gi, bufs[j], outB[j][src*blk:(src+1)*blk], src, spad, tpad, rr, fwd, false)
+						h.xferHidden(gi, bufs[j], outB[j][src*blk:(src+1)*blk], src, h.spad, h.tpad, rr, fwd, false)
 					}
 					tensor.Put(outT[j])
 					tensor.Put(sendT[j])
+					outT[j], sendT[j] = nil, nil
 					return nil
 				}, ag)
 		}
 	}
 	return unpackIDs
-}
-
-// reduceScatter appends one chunk's in-group output ReduceScatter: each
-// member packs its computed canonical rows into its own segment of the
-// g-segment wire (the other segments stay zero, so every summed element
-// has exactly one non-zero contributor and the ring is exact), one
-// ReduceScatter per group on that group's collective stream, and each
-// member lands its returned rows back into bufs. deps[j] gates rank j's
-// pack. Returns the per-rank landing task ids.
-func (s *hybridStrategy) reduceScatter(w *World, p *runtime.Plan, label string, bufs []*tensor.Tensor, data, out [][]float64, mdim, spad, tpad int, rr comm.RowRange, deps []int) []int {
-	g := s.g
-	r := s.nG * g
-	e := s.egg * s.nG
-	gdims := comm.BlockDims{Rows: spad, Width: e * mdim}
-	blk := gdims.Elems()
-	packIDs := make([]int, r)
-	for j := 0; j < r; j++ {
-		j := j
-		m := j % g
-		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, intraStream(j),
-			estElems(e*rr.Len()*mdim), func() error {
-				s.xferRows(w.stagingPool(), data[j][m*blk:(m+1)*blk], bufs[j].Data(), m, mdim, spad, tpad, rr, true)
-				return nil
-			}, deps[j])
-	}
-	landIDs := make([]int, r)
-	for gi := 0; gi < s.nG; gi++ {
-		gi := gi
-		members := s.groups[gi]
-		gc := w.collComm(groupCollStream(gi), KindRS, members, s.groupGpn(w))
-		rsDeps := make([]int, g)
-		for m := 0; m < g; m++ {
-			rsDeps[m] = packIDs[members[m]]
-		}
-		rs := p.Add(fmt.Sprintf("RS%s[g%d]", label, gi), KindRS, groupCollStream(gi),
-			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
-				st, err := gc.ReduceScatterRows(data, out, gdims, rr)
-				if err != nil {
-					return err
-				}
-				w.addStats(st)
-				return nil
-			}, rsDeps...)
-		for m := 0; m < g; m++ {
-			j := members[m]
-			m := m
-			landIDs[j] = p.Add(fmt.Sprintf("V%s[%d]", label, j), KindPack, intraStream(j),
-				estElems(e*rr.Len()*mdim), func() error {
-					s.xferRows(w.stagingPool(), out[j], bufs[j].Data(), m, mdim, spad, tpad, rr, false)
-					return nil
-				}, rs)
-		}
-	}
-	return landIDs
 }
 
 // BuildForward implements ParallelStrategy.
@@ -493,11 +632,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 	}
 	r, mdim := w.cfg.Ranks, w.layer.cfg.M
 	g, nG, egg := s.g, s.nG, s.egg
-	e := len(s.experts)
 	spad, tpad := cache.spad, cache.tpad
-	ranges := comm.SplitRows(spad, w.cfg.ChunksFwd)
-	dims := comm.BlockDims{Rows: spad, Width: egg * mdim}
-	blk := dims.Elems()
 
 	hc := &hybridCache{
 		xFull:   make([]*tensor.Tensor, r),
@@ -522,58 +657,35 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 				hc.hf[j][le], cl, ch, w.computePool(j))
 		}
 	}
-
-	send := wireBuffers(r, nG*blk)
-	recv := wireBuffers(r, nG*blk)
-	csend := wireBuffers(r, nG*blk)
-	crecv := wireBuffers(r, nG*blk)
-	agData := wireBuffers(r, spad*e*mdim)
-	agOut := wireBuffers(r, g*spad*e*mdim)
-	rsData := wireBuffers(r, g*spad*e*mdim)
-	rsOut := wireBuffers(r, spad*e*mdim)
-	scatD := scatPad.Data()
-
-	// Phase 1 — pack + dispatch for every chunk, issued back to back on
-	// the inter stream (the Fig. 3c/d ordering): chunk c+1 is on the wire
-	// while chunk c runs its in-group stages.
-	dispIDs := make([]int, len(ranges))
-	for c, rr := range ranges {
-		rr := rr
-		packIDs := make([]int, r)
-		for i := 0; i < r; i++ {
-			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, intraStream(i),
-				estElems(e*rr.Len()*mdim), func() error {
-					xferGlobal(w.stagingPool(), send[i], scatD, nG, egg, mdim, spad, tpad, i, rr, true)
-					return nil
-				})
+	cache.onAbort(func() {
+		for j, scs := range hc.scs {
+			for le, sc := range scs {
+				if sc != nil {
+					s.experts[j/g*egg+le].DropSharded(sc)
+				}
+			}
 		}
-		dispIDs[c] = p.Add(fmt.Sprintf("D[%d]", c), KindA2A, "inter",
-			estElems(r*r*s.eg*rr.Len()*mdim), s.laneA2A(w, send, recv, dims, rr), packIDs...)
+	})
+	h := s.pass(w, p, cache)
+	ranges := comm.SplitRows(spad, w.cfg.ChunksFwd)
+
+	// Phase 1 — every chunk's dispatch, issued back to back (the Fig. 3c/d
+	// ordering): chunk c+1 is on the wire while chunk c runs its in-group
+	// stages.
+	first := make([]int, len(ranges))
+	for c, rr := range ranges {
+		first[c] = h.outbound(c, "D", scatPad.Data(), rr)
 	}
 
-	// Phase 2 — per chunk: land the lane arrivals at canonical offsets,
-	// share them in-group, run the sharded stages, reduce-scatter, and
-	// combine back to the token side.
+	// Phase 2 — per chunk: land and share the arrivals in-group, stage-1
+	// GEMMs, hidden exchange, stage-2 GEMMs, and the return to the token
+	// side.
 	for c, rr := range ranges {
 		rr := rr
 		rows := r * rr.Len()
-		landIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
-			m := j % g
-			landIDs[j] = p.Add(fmt.Sprintf("Ux%d[%d]", c, j), KindPack, intraStream(j),
-				estElems(e*rr.Len()*mdim), func() error {
-					s.xferMember(w.stagingPool(), recv[j], hc.xFull[j].Data(), m, mdim, spad, tpad, rr, false)
-					return nil
-				}, dispIDs[c])
-		}
-		unpackX := s.rowsExchange(w, p, fmt.Sprintf("x%d", c), hc.xFull, agData, agOut, mdim, spad, tpad, rr, landIDs)
-		hIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
+		hIDs := h.inbound(fmt.Sprintf("x%d", c), first[c], hc.xFull, rr, func(j, dep int) int {
 			gi := j / g
-			hIDs[j] = p.Add(fmt.Sprintf("H%d[%d]", c, j), KindExpert, computeStream(j),
+			return p.Add(fmt.Sprintf("H%d[%d]", c, j), KindExpert, computeStream(j),
 				s.groupEst(gi, rows)/(2*float64(g)), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -582,14 +694,12 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 						}
 					}
 					return nil
-				}, unpackX[j])
-		}
-		unpackH := s.hiddenExchange(w, p, fmt.Sprintf("h%d", c), hc.hf, spad, tpad, rr, true, hIDs)
-		oIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
+				}, dep)
+		})
+		unpackH := h.hiddenExchange(fmt.Sprintf("h%d", c), hc.hf, rr, true, hIDs)
+		h.toTokens(c, fmt.Sprintf("y%d", c), "C", func(j, dep int) int {
 			gi, m := j/g, j%g
-			oIDs[j] = p.Add(fmt.Sprintf("O%d[%d]", c, j), KindExpert, computeStream(j),
+			return p.Add(fmt.Sprintf("O%d[%d]", c, j), KindExpert, computeStream(j),
 				s.groupEst(gi, nG*rr.Len())/2, func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -599,29 +709,8 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 						}
 					}
 					return nil
-				}, unpackH[j])
-		}
-		landY := s.reduceScatter(w, p, fmt.Sprintf("y%d", c), hc.outFull, rsData, rsOut, mdim, spad, tpad, rr, oIDs)
-		packIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
-			m := j % g
-			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, intraStream(j),
-				estElems(e*rr.Len()*mdim), func() error {
-					s.xferMember(w.stagingPool(), csend[j], hc.outFull[j].Data(), m, mdim, spad, tpad, rr, true)
-					return nil
-				}, landY[j])
-		}
-		comb := p.Add(fmt.Sprintf("C[%d]", c), KindA2A, "inter",
-			estElems(r*r*s.eg*rr.Len()*mdim), s.laneA2A(w, csend, crecv, dims, rr), packIDs...)
-		for i := 0; i < r; i++ {
-			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
-				estElems(e*rr.Len()*mdim), func() error {
-					xferGlobal(w.stagingPool(), crecv[i], combinedPad.Data(), nG, egg, mdim, spad, tpad, i, rr, false)
-					return nil
-				}, comb)
-		}
+				}, dep)
+		}, unpackH, hc.outFull, combinedPad, rr, nil)
 	}
 }
 
@@ -634,11 +723,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 	hc := cache.sc.(*hybridCache)
 	r, mdim := w.cfg.Ranks, w.layer.cfg.M
 	g, nG, egg := s.g, s.nG, s.egg
-	e := len(s.experts)
 	spad, tpad := cache.spad, cache.tpad
-	ranges := comm.SplitRows(spad, w.cfg.ChunksBwd)
-	dims := comm.BlockDims{Rows: spad, Width: egg * mdim}
-	blk := dims.Elems()
 
 	dyFull := make([]*tensor.Tensor, r)
 	dxFull := make([]*tensor.Tensor, r)
@@ -653,67 +738,40 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 			hb[j][le] = tensor.New(ex.BwdBands()*tpad, ex.HiddenWidth())
 		}
 	}
+	h := s.pass(w, p, cache)
+	ranges := comm.SplitRows(spad, w.cfg.ChunksBwd)
 
-	gsend := wireBuffers(r, nG*blk)
-	grecv := wireBuffers(r, nG*blk)
-	dsend := wireBuffers(r, nG*blk)
-	drecv := wireBuffers(r, nG*blk)
-	agData := wireBuffers(r, spad*e*mdim)
-	agOut := wireBuffers(r, g*spad*e*mdim)
-	rsData := wireBuffers(r, g*spad*e*mdim)
-	rsOut := wireBuffers(r, spad*e*mdim)
-	dpd := dpad.Data()
-
-	// Phase 1 — pack + combine-gradient lanes for every chunk (the adjoint
-	// of the forward combine), back to back on the inter stream.
-	combIDs := make([]int, len(ranges))
+	// Phase 1 — every chunk's combine-gradient step (the adjoint of the
+	// forward combine), back to back.
+	first := make([]int, len(ranges))
 	for c, rr := range ranges {
-		rr := rr
-		packIDs := make([]int, r)
-		for i := 0; i < r; i++ {
-			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, intraStream(i),
-				estElems(e*rr.Len()*mdim), func() error {
-					xferGlobal(w.stagingPool(), gsend[i], dpd, nG, egg, mdim, spad, tpad, i, rr, true)
-					return nil
-				})
-		}
-		combIDs[c] = p.Add(fmt.Sprintf("C[%d]", c), KindA2A, "inter",
-			estElems(r*r*s.eg*rr.Len()*mdim), s.laneA2A(w, gsend, grecv, dims, rr), packIDs...)
+		first[c] = h.outbound(c, "C", dpad.Data(), rr)
 	}
 
-	// Gradient-sync emit point 0: slices enqueued here trail the combine
-	// chain on the inter stream, in the slack while the in-group stages run
-	// on the per-group streams, before the first dispatch-gradient lanes.
+	// Gradient-sync emit point 0: slices enqueued here run on the inter
+	// stream in the slack while the in-group stages run, before the first
+	// dispatch-gradient lanes (with one group the inter stream carries no
+	// layer collective at all).
 	if w.sync != nil {
 		w.sync.BeginLayer(len(ranges) + 1)
 		w.sync.EmitAt(p, "inter", 0)
 	}
 
-	// Phase 2 — per chunk: land dy at canonical offsets, share it
-	// in-group, adjoint stage 2 (column-sharded), hidden gradient
-	// exchange, adjoint stage 1 (row-sharded), dX ReduceScatter, and the
-	// dispatch-gradient lanes back to the token side.
-	b2Last := make([]int, r)
+	// Phase 2 — per chunk: land and share dy in-group, adjoint stage 2
+	// (column-sharded), hidden gradient exchange, adjoint stage 1
+	// (row-sharded), and the dX return to the token side. Emit point c+1
+	// trails the chunk's last outbound collective.
+	var b2Last []int
 	for c, rr := range ranges {
 		rr := rr
 		rows := r * rr.Len()
-		landIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
-			m := j % g
-			landIDs[j] = p.Add(fmt.Sprintf("Ud%d[%d]", c, j), KindPack, intraStream(j),
-				estElems(e*rr.Len()*mdim), func() error {
-					s.xferMember(w.stagingPool(), grecv[j], dyFull[j].Data(), m, mdim, spad, tpad, rr, false)
-					return nil
-				}, combIDs[c])
+		var emit func()
+		if w.sync != nil {
+			emit = func() { w.sync.EmitAt(p, "inter", c+1) }
 		}
-		unpackD := s.rowsExchange(w, p, fmt.Sprintf("d%d", c), dyFull, agData, agOut, mdim, spad, tpad, rr, landIDs)
-		b1IDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
+		b1IDs := h.inbound(fmt.Sprintf("d%d", c), first[c], dyFull, rr, func(j, dep int) int {
 			gi := j / g
-			b1IDs[j] = p.Add(fmt.Sprintf("B1%d[%d]", c, j), KindExpert, computeStream(j),
+			return p.Add(fmt.Sprintf("B1%d[%d]", c, j), KindExpert, computeStream(j),
 				s.groupEst(gi, rows)/float64(g), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -723,13 +781,12 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 						}
 					}
 					return nil
-				}, unpackD[j])
-		}
-		unpackB := s.hiddenExchange(w, p, fmt.Sprintf("b%d", c), hb, spad, tpad, rr, false, b1IDs)
-		for j := 0; j < r; j++ {
-			j := j
+				}, dep)
+		})
+		unpackB := h.hiddenExchange(fmt.Sprintf("b%d", c), hb, rr, false, b1IDs)
+		b2Last = h.toTokens(c, fmt.Sprintf("d%d", c), "D", func(j, dep int) int {
 			gi, m := j/g, j%g
-			b2Last[j] = p.Add(fmt.Sprintf("B2%d[%d]", c, j), KindExpert, computeStream(j),
+			return p.Add(fmt.Sprintf("B2%d[%d]", c, j), KindExpert, computeStream(j),
 				s.groupEst(gi, nG*rr.Len()), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -741,34 +798,8 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 						}
 					}
 					return nil
-				}, unpackB[j])
-		}
-		landDx := s.reduceScatter(w, p, fmt.Sprintf("d%d", c), dxFull, rsData, rsOut, mdim, spad, tpad, rr, b2Last)
-		packIDs := make([]int, r)
-		for j := 0; j < r; j++ {
-			j := j
-			m := j % g
-			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, intraStream(j),
-				estElems(e*rr.Len()*mdim), func() error {
-					s.xferMember(w.stagingPool(), dsend[j], dxFull[j].Data(), m, mdim, spad, tpad, rr, true)
-					return nil
-				}, landDx[j])
-		}
-		dgrad := p.Add(fmt.Sprintf("D[%d]", c), KindA2A, "inter",
-			estElems(r*r*s.eg*rr.Len()*mdim), s.laneA2A(w, dsend, drecv, dims, rr), packIDs...)
-		// Emit point c+1: slices here trail the c-th dispatch-gradient
-		// lanes, overlapping the landing packs and later chunks.
-		if w.sync != nil {
-			w.sync.EmitAt(p, "inter", c+1)
-		}
-		for i := 0; i < r; i++ {
-			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
-				estElems(e*rr.Len()*mdim), func() error {
-					xferGlobal(w.stagingPool(), drecv[i], dScatteredPad.Data(), nG, egg, mdim, spad, tpad, i, rr, false)
-					return nil
-				}, dgrad)
-		}
+				}, dep)
+		}, unpackB, dxFull, dScatteredPad, rr, emit)
 	}
 
 	// Phase 3 — each expert's full-block parameter-gradient reduction on
@@ -786,9 +817,11 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 					le := m*s.eg + k
 					ex := s.experts[gi*egg+le]
 					ex.FinishSharded(hc.scs[j][le], expertView(dyFull[j], le, tpad, mdim), hb[j][le])
+					hc.scs[j][le] = nil
 					for m2 := 0; m2 < g; m2++ {
 						if m2 != m {
 							ex.DropSharded(hc.scs[gi*g+m2][le])
+							hc.scs[gi*g+m2][le] = nil
 						}
 					}
 				}

@@ -416,6 +416,20 @@ type WorldCache struct {
 	combined   *tensor.Tensor // (E, T, M), the sequential layer's expertOut
 	sc         any            // strategy-private forward state
 	deg        *degradedState // non-nil when the forward ran degraded
+	abort      []func()       // return the pooled state an aborted plan strands
+}
+
+// onAbort registers f to return pooled buffers to the tensor pool should
+// a plan of this pass abort before the tasks that normally release them
+// run (a forward's registrations stay armed through its backward).
+func (c *WorldCache) onAbort(f func()) { c.abort = append(c.abort, f) }
+
+// release runs the abort registrations once: the failure path of a plan.
+func (c *WorldCache) release() {
+	for _, f := range c.abort {
+		f()
+	}
+	c.abort = nil
 }
 
 // Task kinds in the trace breakdown — aliases of the canonical sim
@@ -515,6 +529,7 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 	w.strat.BuildForward(w, p, cache, scatPad, combinedPad)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
+		cache.release()
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank
 			return w.degradedForward(pr, retriesIn(w.lastTr), err.Error())
@@ -559,13 +574,15 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	w.strat.BuildBackward(w, p, cache, dpad, dScatteredPad)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
+		cache.release()
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank
 			return w.degradedBackwardRecover(cache, dy, retriesIn(w.lastTr), err.Error())
 		}
+		cache.combined = nil // its sharded state is released: no retry
 		return nil, err
 	}
-	cache.combined = nil // a cache drives at most one backward
+	cache.combined, cache.abort = nil, nil // a cache drives at most one backward
 
 	dScattered := unpadBlocks(dScatteredPad, plan.Experts, t, cache.tpad, mdim)
 	return w.layer.backwardFinish(dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape), nil
@@ -600,16 +617,6 @@ func (w *World) addStats(st comm.Stats) {
 func (w *World) expertEst(j, rows int) float64 {
 	macs := 0.0
 	for _, ex := range w.layer.cfg.Experts[j*w.egrp : (j+1)*w.egrp] {
-		macs += ex.FwdMACs(rows)
-	}
-	return macs / 1e6
-}
-
-// allExpertEst sums the whole layer's expert estimate for rows — the
-// per-rank share of a fully sharded (ESP) stage is this divided by R.
-func (w *World) allExpertEst(rows int) float64 {
-	macs := 0.0
-	for _, ex := range w.layer.cfg.Experts {
 		macs += ex.FwdMACs(rows)
 	}
 	return macs / 1e6

@@ -179,47 +179,66 @@ func TestWorldStragglerBitIdenticalHybrid(t *testing.T) {
 	}
 }
 
-// TestWorldDegradedHybrid: a permanent rank loss inside the hybrid
-// strategy's group-scoped schedule completes on the degraded path
-// deterministically, with the dead group members' experts frozen.
+// TestWorldDegradedHybrid: a permanent rank loss inside the sharded
+// builder's schedule — hybrid's group-scoped one and ESP, its one-group
+// case — completes on the degraded path deterministically, with the dead
+// rank's experts frozen, and leaves the tensor free-list balance where a
+// fault-free pass leaves it: the aborted plan's shard state and staging
+// go back to the pool. The trigger covers both an expert task and a pack.
 func TestWorldDegradedHybrid(t *testing.T) {
 	x := tensor.RandN(xrand.New(99), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(100), 1, 96, 32)
-	run := func() (worldSnapshot, *DegradedResult) {
-		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		cfg  WorldConfig
+		kind string
+	}{
+		{WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}, KindExpert},
+		{WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}, KindPack},
+		{WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}, KindExpert},
+		{WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}, KindPack},
+	} {
+		name := fmt.Sprintf("%s-%s", tc.cfg.Strategy, tc.kind)
+		_, clean := collectivePass(t, worldLayer(t, "gshard", TutelOrder{}, false, false), tc.cfg, nil, x, dy)
+		run := func() (worldSnapshot, *DegradedResult) {
+			layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+			w, err := NewWorld(layer, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.SetFaultPlan(fault.New(fault.Spec{Seed: 9, Down: &fault.Down{Rank: 2, Kind: tc.kind}}))
+			layer.ZeroGrad()
+			before := tensor.PoolOutstanding()
+			_, cache, err := w.Forward(x, false)
+			if err != nil {
+				t.Fatalf("%s: degraded forward must complete, got %v", name, err)
+			}
+			if _, err := w.Backward(cache, dy); err != nil {
+				t.Fatalf("%s: degraded backward must complete, got %v", name, err)
+			}
+			if left := tensor.PoolOutstanding() - before; left != clean {
+				t.Fatalf("%s: degraded pass left %d free-list buffers outstanding, fault-free pass %d", name, left, clean)
+			}
+			deg := w.LastDegraded()
+			if deg == nil {
+				t.Fatalf("%s: no DegradedResult after rank loss", name)
+			}
+			expectZeroGrads(t, layer, deg.LostExperts, name)
+			expectZeroGateGrads(t, layer, name)
+			return worldSnapshot{dx: x, y: x, grads: snapGrads(layer)}, deg
 		}
-		w.SetFaultPlan(fault.New(fault.Spec{Seed: 9, Down: &fault.Down{Rank: 2, Kind: KindExpert}}))
-		layer.ZeroGrad()
-		_, cache, err := w.Forward(x, false)
-		if err != nil {
-			t.Fatalf("hybrid degraded forward must complete, got %v", err)
+		snap, deg := run()
+		if deg.Rank != 2 {
+			t.Fatalf("%s: degraded rank = %d, want 2", name, deg.Rank)
 		}
-		if _, err := w.Backward(cache, dy); err != nil {
-			t.Fatalf("hybrid degraded backward must complete, got %v", err)
+		if len(deg.LostExperts) == 0 {
+			t.Fatalf("%s: no experts reported lost", name)
 		}
-		deg := w.LastDegraded()
-		if deg == nil {
-			t.Fatal("no DegradedResult after hybrid rank loss")
+		snap2, deg2 := run()
+		compareSnapshots(t, name+" degraded determinism", snap, snap2)
+		if deg2.ReroutedTokens != deg.ReroutedTokens || deg2.DroppedTokens != deg.DroppedTokens {
+			t.Fatalf("%s: degraded rerouting not deterministic: %d/%d vs %d/%d",
+				name, deg.ReroutedTokens, deg.DroppedTokens, deg2.ReroutedTokens, deg2.DroppedTokens)
 		}
-		expectZeroGrads(t, layer, deg.LostExperts, "hybrid-degraded")
-		expectZeroGateGrads(t, layer, "hybrid-degraded")
-		return worldSnapshot{dx: x, y: x, grads: snapGrads(layer)}, deg
-	}
-	snap, deg := run()
-	if deg.Rank != 2 {
-		t.Fatalf("degraded rank = %d, want 2", deg.Rank)
-	}
-	if len(deg.LostExperts) == 0 {
-		t.Fatal("no experts reported lost")
-	}
-	snap2, deg2 := run()
-	compareSnapshots(t, "hybrid degraded determinism", snap, snap2)
-	if deg2.ReroutedTokens != deg.ReroutedTokens || deg2.DroppedTokens != deg.DroppedTokens {
-		t.Fatalf("hybrid degraded rerouting not deterministic: %d/%d vs %d/%d",
-			deg.ReroutedTokens, deg.DroppedTokens, deg2.ReroutedTokens, deg2.DroppedTokens)
 	}
 }
 
@@ -258,14 +277,17 @@ func TestWorldDegradedForward(t *testing.T) {
 	x := tensor.RandN(xrand.New(81), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(82), 1, 96, 32)
 	const ranks = 4
+	cfg := WorldConfig{Ranks: ranks, ChunksFwd: 2}
+	_, clean := collectivePass(t, worldLayer(t, "gshard", TutelOrder{}, false, false), cfg, nil, x, dy)
 	run := func() (worldSnapshot, *DegradedResult, []bool) {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: ranks, ChunksFwd: 2})
+		w, err := NewWorld(layer, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
 		layer.ZeroGrad()
+		before := tensor.PoolOutstanding()
 		y, cache, err := w.Forward(x, false)
 		if err != nil {
 			t.Fatalf("degraded forward must complete, got %v", err)
@@ -277,6 +299,10 @@ func TestWorldDegradedForward(t *testing.T) {
 		dx, err := w.Backward(cache, dy)
 		if err != nil {
 			t.Fatalf("degraded backward must complete, got %v", err)
+		}
+		// The aborted plan's chunk caches go back to the pool.
+		if left := tensor.PoolOutstanding() - before; left != clean {
+			t.Fatalf("degraded pass left %d free-list buffers outstanding, fault-free pass %d", left, clean)
 		}
 		return worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)}, w.LastDegraded(), w.Health()
 	}
@@ -381,11 +407,14 @@ func TestWorldDegradedBackward(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
 
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	cfg := WorldConfig{Ranks: 4, ChunksFwd: 2}
+	_, clean := collectivePass(t, layer, cfg, nil, x, dy)
+	w, err := NewWorld(layer, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layer.ZeroGrad()
+	before := tensor.PoolOutstanding()
 	_, cache, err := w.Forward(x, false) // clean forward at full strength
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +423,10 @@ func TestWorldDegradedBackward(t *testing.T) {
 	dx, err := w.Backward(cache, dy)
 	if err != nil {
 		t.Fatalf("degraded backward recovery must complete, got %v", err)
+	}
+	// The aborted backward's unfinished chunk caches go back to the pool.
+	if left := tensor.PoolOutstanding() - before; left != clean {
+		t.Fatalf("degraded backward left %d free-list buffers outstanding, fault-free pass %d", left, clean)
 	}
 	if dx == nil {
 		t.Fatal("nil input gradient from degraded backward")
@@ -496,12 +529,22 @@ func TestWorldStepDegraded(t *testing.T) {
 	const layers, ranks, lr = 2, 4, 0.05
 	x := tensor.RandN(xrand.New(91), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(92), 1, 96, 32)
+	scfg := StepConfig{LR: lr, ChunkBytes: 64 << 10, Slices: 3}
+	before := tensor.PoolOutstanding()
+	if _, err := StepWorlds(stepStack(t, layers, ranks, 2, false), x, dy, scfg); err != nil {
+		t.Fatal(err)
+	}
+	clean := tensor.PoolOutstanding() - before
+
 	ws := stepStack(t, layers, ranks, 2, false)
 	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 6, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
-
-	res, err := StepWorlds(ws, x, dy, StepConfig{LR: lr, ChunkBytes: 64 << 10, Slices: 3})
+	before = tensor.PoolOutstanding()
+	res, err := StepWorlds(ws, x, dy, scfg)
 	if err != nil {
 		t.Fatalf("degraded step must complete, got %v", err)
+	}
+	if left := tensor.PoolOutstanding() - before; left != clean {
+		t.Fatalf("degraded step left %d free-list buffers outstanding, fault-free step %d", left, clean)
 	}
 	if len(res.Degraded) != 1 {
 		t.Fatalf("res.Degraded has %d entries, want 1", len(res.Degraded))

@@ -160,9 +160,10 @@ func taskLines(w *World) []string {
 // TestWorldHybridDegenerateTraces is the degenerate-case regression test:
 // hybrid plans at GroupSize 1 and R must be task-for-task identical
 // (label, kind, stream, estimate, dependencies) to the pure EP and ESP
-// plans, and produce identical outputs — the delegate builds exactly the
-// specialized schedule, so the 2-D grid's edges coincide with the 1-D
-// strategies by construction, not by approximation.
+// plans, and produce identical outputs — ESP is the builder's one-group
+// case and GroupSize 1 delegates to the EP builder, so the 2-D grid's
+// edges coincide with the 1-D strategies by construction, not by
+// approximation (TestWorldPlanGolden pins the ESP plans themselves).
 func TestWorldHybridDegenerateTraces(t *testing.T) {
 	x := tensor.RandN(xrand.New(33), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(34), 1, 96, 32)
