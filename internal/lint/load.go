@@ -9,11 +9,14 @@ package lint
 // the "source" compiler importer, which type-checks GOROOT sources and
 // therefore works offline. Test files (_test.go) are not analyzed: the
 // rules protect production aggregation and execution paths, and fixtures
-// legitimately assert on raw literals.
+// legitimately assert on raw literals. Files are selected for the host's
+// GOOS/GOARCH by their name suffixes and //go:build lines, as the compiler
+// selects them, so per-architecture twins never collide.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -173,17 +176,23 @@ func dirHasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() && analyzableFile(e.Name()) {
-			return true, nil
+		if ok, err := analyzableFile(dir, e); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil
 }
 
-func analyzableFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
+// analyzableFile reports whether e is a non-test Go file of dir that the
+// host's build would compile.
+func analyzableFile(dir string, e os.DirEntry) (bool, error) {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+		strings.HasSuffix(name, "_test.go") ||
+		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
 }
 
 // LoadDir loads the package in one directory, type-checking it (and,
@@ -216,7 +225,11 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && analyzableFile(e.Name()) {
+		ok, err := analyzableFile(abs, e)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			names = append(names, e.Name())
 		}
 	}

@@ -8,7 +8,7 @@ const matmulParallelThreshold = 1 << 18
 // MatMul returns a @ b for 2-D tensors with shapes (m,k) and (k,n).
 func MatMul(a, b *Tensor) *Tensor {
 	out := New(mmShape(a, b, "MatMul"), b.shape[1])
-	defaultPool.matmulInto(out.data, a.data, b.data, a.shape[0], a.shape[1], b.shape[1])
+	MatMulInto(out, a, b)
 	return out
 }
 
@@ -26,7 +26,8 @@ func (p *Pool) MatMulInto(dst, a, b *Tensor) {
 	m := mmShape(a, b, "MatMulInto")
 	n := b.shape[1]
 	checkDst(dst, m, n, "MatMulInto")
-	p.self().matmulInto(dst.data, a.data, b.data, m, a.shape[1], n)
+	k := a.shape[1]
+	p.self().gemmRows(dst.data, a.data, b.data, m, k, n, k, 1)
 }
 
 // mmShape validates a 2-D pair with matching inner dimension and returns m.
@@ -46,57 +47,20 @@ func checkDst(dst *Tensor, m, n int, op string) {
 	}
 }
 
-// matmulInto computes dst = A @ B where A is (m,k), B is (k,n), all
-// row-major. Rows of dst are sharded over the pool; each output element is
-// accumulated entirely by one goroutine in a fixed order, so the result is
-// identical at any parallel width.
-func (p *Pool) matmulInto(dst, a, b []float64, m, k, n int) {
-	// The Workers()==1 check precedes the closure so the single-threaded
-	// path stays allocation-free.
-	if m*k*n < matmulParallelThreshold || m == 1 || p.Workers() == 1 {
-		matmulRows(dst, a, b, 0, m, k, n)
+// gemmRows computes dst = A·B for an (m, k) A in gemm's strided form
+// (ars, aps) and a dense (k, n) B, sharding blocks of four rows over the
+// pool. gemm's summation order does not depend on the row cut, so the
+// result is identical at any parallel width.
+func (p *Pool) gemmRows(dst, a, b []float64, m, k, n, ars, aps int) {
+	// The serial checks precede the closure so the single-threaded path
+	// stays allocation-free.
+	if m*k*n < matmulParallelThreshold || m <= 4*serialCutoff || p.Workers() == 1 {
+		gemm(dst, a, b, 0, m, k, n, ars, aps, n)
 		return
 	}
-	p.ParallelRange(m, func(lo, hi int) {
-		matmulRows(dst, a, b, lo, hi, k, n)
+	p.ParallelRange((m+3)/4, func(lo, hi int) {
+		gemm(dst, a, b, 4*lo, min(4*hi, m), k, n, ars, aps, n)
 	})
-}
-
-// matmulRows is the register-blocked i-k-j kernel: the k-loop is unrolled
-// 4× so each pass streams four rows of B against four scalars of A held in
-// registers, quartering the traffic on dst.
-func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		di := dst[i*n : (i+1)*n : (i+1)*n]
-		for j := range di {
-			di[j] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := b[p*n : p*n+n : p*n+n]
-			b1 := b[(p+1)*n : (p+1)*n+n : (p+1)*n+n]
-			b2 := b[(p+2)*n : (p+2)*n+n : (p+2)*n+n]
-			b3 := b[(p+3)*n : (p+3)*n+n : (p+3)*n+n]
-			for j := range di {
-				di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulT1 returns aᵀ @ b where a is (k,m) and b is (k,n); the result is
@@ -111,15 +75,15 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulT1Into computes dst = aᵀ @ b with the pool convention of
-// Pool.MatMulInto. The kernel itself is inherently sequential (every rank-1
-// update touches all of dst), so the pool only documents intent; it exists
-// so a stream's GEMM calls are uniformly pool-bound.
-func (p *Pool) MatMulT1Into(dst, a, b *Tensor) { MatMulT1Into(dst, a, b) }
-
 // MatMulT1Into computes dst = aᵀ @ b, overwriting dst, which must be (m,n)
-// for a (k,m) and b (k,n).
-func MatMulT1Into(dst, a, b *Tensor) {
+// for a (k,m) and b (k,n). Rows shard over the default pool; see
+// Pool.MatMulT1Into for the scoped variant.
+func MatMulT1Into(dst, a, b *Tensor) { defaultPool.MatMulT1Into(dst, a, b) }
+
+// MatMulT1Into computes dst = aᵀ @ b with the row sharding bound to p's
+// worker budget (nil = default pool). The kernel reads aᵀ in place: row i
+// of dst walks column i of a.
+func (p *Pool) MatMulT1Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT1Into requires 2-D tensors")
 	}
@@ -129,24 +93,7 @@ func MatMulT1Into(dst, a, b *Tensor) {
 		panic("tensor: MatMulT1Into inner dimension mismatch")
 	}
 	checkDst(dst, m, n, "MatMulT1Into")
-	clear(dst.data)
-	// dst[i,j] = sum_p a[p,i]*b[p,j]: accumulate rank-1 updates row by row.
-	// Rows of dst cannot be sharded without also sharding the p-loop (every
-	// update touches all of dst), so this kernel stays sequential; callers
-	// parallelize across experts/heads instead.
-	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			di := dst.data[i*n : (i+1)*n : (i+1)*n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
-		}
-	}
+	p.self().gemmRows(dst.data, a.data, b.data, m, k, n, 1, m)
 }
 
 // MatMulT2 returns a @ bᵀ where a is (m,k) and b is (n,k); the result is
@@ -167,60 +114,39 @@ func MatMulT2(a, b *Tensor) *Tensor {
 func MatMulT2Into(dst, a, b *Tensor) { defaultPool.MatMulT2Into(dst, a, b) }
 
 // MatMulT2Into computes dst = a @ bᵀ with the row sharding bound to p's
-// worker budget (nil = default pool). Both operands stream row-major, so
-// the inner loops are pure dot products; they are blocked four-wide over
-// rows of b to reuse each load of a's row.
+// worker budget (nil = default pool). b is first transposed into a pooled
+// (k,n) buffer — O(nk) copying against O(mnk) arithmetic — so the product
+// runs the same kernel, in the same order, as MatMulInto.
 func (p *Pool) MatMulT2Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2Into requires 2-D tensors")
 	}
-	p = p.self()
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
 		panic("tensor: MatMulT2Into inner dimension mismatch")
 	}
 	checkDst(dst, m, n, "MatMulT2Into")
-	if m*k*n < matmulParallelThreshold || m == 1 || p.Workers() == 1 {
-		matmulT2Rows(dst.data, a.data, b.data, 0, m, k, n)
-		return
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	p.ParallelRange(m, func(lo, hi int) {
-		matmulT2Rows(dd, ad, bd, lo, hi, k, n)
-	})
+	bt := GetUninit(k, n)
+	transpose(bt.data, b.data, n, k)
+	p.self().gemmRows(dst.data, a.data, bt.data, m, k, n, k, 1)
+	Put(bt)
 }
 
-// matmulT2Rows computes rows [lo, hi) of dst = a @ bᵀ. The j-loop is
-// blocked four-wide: four dot products share each streamed load of a's row,
-// and each dot accumulates over p in a fixed order (so results don't depend
-// on the blocking).
-func matmulT2Rows(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k : (i+1)*k]
-		di := dst[i*n : (i+1)*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k]
-			var s0, s1, s2, s3 float64
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+// transpose writes the (cols,rows) transpose of the row-major (rows,cols)
+// src into dst, in square blocks so that both sides' cache lines are
+// reused while they are resident.
+func transpose(dst, src []float64, rows, cols int) {
+	const blk = 16
+	for i0 := 0; i0 < rows; i0 += blk {
+		i1 := min(i0+blk, rows)
+		for j0 := 0; j0 < cols; j0 += blk {
+			j1 := min(j0+blk, cols)
+			for i := i0; i < i1; i++ {
+				for j := j0; j < j1; j++ {
+					dst[j*rows+i] = src[i*cols+j]
+				}
 			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k : (j+1)*k]
-			s := 0.0
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			di[j] = s
 		}
 	}
 }
@@ -230,13 +156,8 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic("tensor: Transpose2D requires a 2-D tensor")
 	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
+	out := New(a.shape[1], a.shape[0])
+	transpose(out.data, a.data, a.shape[0], a.shape[1])
 	return out
 }
 
@@ -256,7 +177,7 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 	out := New(bs, m, n)
 	if bs*m*k*n < matmulParallelThreshold || Workers() == 1 {
 		for i := 0; i < bs; i++ {
-			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
+			gemm(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1, n)
 		}
 		return out
 	}
@@ -265,12 +186,12 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 		// each product instead (row sharding), which the per-batch leaf
 		// kernel above deliberately skips.
 		for i := 0; i < bs; i++ {
-			defaultPool.matmulInto(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n)
+			defaultPool.gemmRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, k, 1)
 		}
 		return out
 	}
 	ParallelFor(bs, func(i int) {
-		matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
+		gemm(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n, k, 1, n)
 	})
 	return out
 }

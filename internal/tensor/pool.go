@@ -45,9 +45,11 @@ package tensor
 //     is still reachable: views alias the backing array, and Put hands that
 //     array to the next Get.
 //   - GetUninit returns garbage contents; use it only for destinations that
-//     are fully overwritten (e.g. MatMulInto).
+//     are fully overwritten (e.g. MatMulInto). Under SetPoolDebug(true) the
+//     garbage is NaN, so a read before the write shows up in results.
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -286,8 +288,9 @@ var poolDebug atomic.Bool
 // aliases its parent's backing array, so a Put through it is always a bug —
 // either a leak (the caller meant to Put the parent) or, if the parent is
 // pooled, a latent double-free. Debug mode also keeps the Get-minus-Put
-// balance PoolOutstanding reports. Tests enable it to pin the ownership
-// rules.
+// balance PoolOutstanding reports, and fills every GetUninit buffer with
+// NaN so that reading an element before writing it poisons the result.
+// Tests enable it to pin the ownership rules.
 func SetPoolDebug(on bool) { poolDebug.Store(on) }
 
 // poolOutstanding is the debug-mode Get-minus-Put balance of free-list
@@ -329,6 +332,9 @@ func GetUninit(shape ...int) *Tensor {
 		// Built inline so the shape slice never escapes on the hot path.
 		t := &Tensor{data: make([]float64, n)}
 		t.setShape(shape)
+		if poolDebug.Load() {
+			poison(t.data)
+		}
 		return t
 	}
 	t, _ := freeLists[b].Get().(*Tensor)
@@ -340,8 +346,20 @@ func GetUninit(shape ...int) *Tensor {
 	t.poolable = true
 	if poolDebug.Load() {
 		poolOutstanding.Add(1)
+		poison(t.data)
 	}
 	return t
+}
+
+// poison fills a debug-mode GetUninit buffer with NaN, so a read of an
+// element its caller never wrote surfaces as NaN in the result instead of
+// passing silently with the previous owner's values (the GEMM kernels
+// propagate NaN, never skipping an operand).
+func poison(d []float64) {
+	nan := math.NaN()
+	for i := range d {
+		d[i] = nan
+	}
 }
 
 // Get returns a zero-filled tensor of the given shape from the free-list.

@@ -147,21 +147,25 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 
 // TestMatMulDeterministicAcrossWorkers pins the acceptance requirement that
 // parallelism never reorders a single output element's accumulation: the
-// same product must be bit-identical at any worker count.
+// same product must be bit-identical at any worker count, in every layout
+// (MatMulT1 shards rows too), and the three layouts agree with each other.
 func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 	defer SetWorkers(0)
 	rng := xrand.New(7)
 	a := RandN(rng, 1, 97, 131)
 	b := RandN(rng, 1, 131, 89)
+	at, bt := Transpose2D(a), Transpose2D(b)
 	SetWorkers(1)
 	want := MatMul(a, b)
-	wantT2 := MatMulT2(a, Transpose2D(b))
-	for _, w := range []int{2, 4, 9} {
+	for _, w := range []int{1, 2, 3, 4, 8, 9} {
 		SetWorkers(w)
-		if got := MatMul(a, b); got.MaxAbsDiff(want) != 0 {
+		if got := MatMul(a, b); !sameBits(got.data, want.data) {
 			t.Fatalf("workers=%d: MatMul not bit-identical", w)
 		}
-		if got := MatMulT2(a, Transpose2D(b)); got.MaxAbsDiff(wantT2) != 0 {
+		if got := MatMulT1(at, b); !sameBits(got.data, want.data) {
+			t.Fatalf("workers=%d: MatMulT1 not bit-identical", w)
+		}
+		if got := MatMulT2(a, bt); !sameBits(got.data, want.data) {
 			t.Fatalf("workers=%d: MatMulT2 not bit-identical", w)
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,17 +18,20 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 	a := RandN(rng, 1, 97, 131)
 	b := RandN(rng, 1, 131, 89)
 	want := MatMul(a, b)
-	bt := Transpose2D(b)
-	wantT2 := MatMulT2(a, bt)
-	for _, w := range []int{1, 2, 7} {
+	at, bt := Transpose2D(a), Transpose2D(b)
+	for _, w := range []int{1, 2, 3, 7, 8} {
 		p := NewPool(w)
 		got := GetUninit(97, 89)
 		p.MatMulInto(got, a, b)
-		if got.MaxAbsDiff(want) != 0 {
+		if !sameBits(got.data, want.data) {
 			t.Fatalf("width %d: pool MatMulInto not bit-identical", w)
 		}
+		p.MatMulT1Into(got, at, b)
+		if !sameBits(got.data, want.data) {
+			t.Fatalf("width %d: pool MatMulT1Into not bit-identical", w)
+		}
 		p.MatMulT2Into(got, a, bt)
-		if got.MaxAbsDiff(wantT2) != 0 {
+		if !sameBits(got.data, want.data) {
 			t.Fatalf("width %d: pool MatMulT2Into not bit-identical", w)
 		}
 		Put(got)
@@ -36,7 +40,7 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 	var nilPool *Pool
 	got := GetUninit(97, 89)
 	nilPool.MatMulInto(got, a, b)
-	if got.MaxAbsDiff(want) != 0 {
+	if !sameBits(got.data, want.data) {
 		t.Fatal("nil pool MatMulInto not bit-identical to default")
 	}
 	Put(got)
@@ -207,4 +211,29 @@ func TestPoolOutstanding(t *testing.T) {
 	if got := PoolOutstanding() - base; got != 0 {
 		t.Fatalf("traffic outside debug mode moved the balance by %d", got)
 	}
+}
+
+// TestGetUninitPoisonsInDebug: debug mode hands out GetUninit buffers
+// filled with NaN, whatever the previous owner left, while Get still
+// zero-fills.
+func TestGetUninitPoisonsInDebug(t *testing.T) {
+	SetPoolDebug(true)
+	defer SetPoolDebug(false)
+	prev := GetUninit(3, 5)
+	prev.Fill(1)
+	Put(prev)
+	u := GetUninit(3, 5)
+	for i, v := range u.Data() {
+		if !math.IsNaN(v) {
+			t.Fatalf("debug GetUninit element %d = %v, want NaN", i, v)
+		}
+	}
+	Put(u)
+	z := Get(3, 5)
+	for i, v := range z.Data() {
+		if v != 0 {
+			t.Fatalf("debug Get element %d = %v, want 0", i, v)
+		}
+	}
+	Put(z)
 }

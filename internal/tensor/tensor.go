@@ -8,6 +8,29 @@
 // Timing, by contrast, is the job of internal/sim; nothing here pretends to
 // be fast enough to train an LLM.
 //
+// # GEMM kernel
+//
+// MatMul, MatMulInto, MatMulT1Into (aᵀ·b), MatMulT2Into (a·bᵀ) and
+// BatchedMatMul all run one strided kernel, gemm (gemm.go). It shards
+// blocks of rows over a worker pool and computes every output element as
+// one sequential sum over the inner dimension, starting at +0, with each
+// product rounded before it is added — never fused into an FMA. That order
+// depends on the inner dimension alone, so the three layouts of a product
+// give the same bits, and so do any row cut, column window or worker
+// width: the bit-identity of sharded, chunked and parallel execution
+// across the repository rests on it.
+//
+// On amd64 CPUs with AVX2 (and an OS that saves the YMM state, checked
+// once with CPUID/XGETBV at start-up) an assembly 4×8 tile computes the
+// product using separate multiply and add instructions; elsewhere, and
+// for blocks smaller than a tile, a pure-Go reference does. The two agree
+// bit for bit, so a run replays identically on any machine. Nothing else
+// selects the path: there is no build tag, flag or setting.
+//
+// The kernel skips no operand: a NaN or Inf anywhere in A or B reaches
+// every output element it touches (0·NaN and 0·Inf are NaN), so bad data
+// is never masked by a zero on the other side.
+//
 // # Views and aliasing
 //
 // Reshape, View, Slice and Row return views: tensors (or slices) that share
